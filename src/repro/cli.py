@@ -30,6 +30,7 @@ import sys
 from typing import Callable, Dict, Optional, Sequence
 
 from repro import io
+from repro.core.table import sample_seed_values
 from repro.crawler.engine import CrawlerEngine
 from repro.datasets.registry import dataset_info, dataset_names, load_dataset
 from repro.experiments import (
@@ -48,7 +49,6 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
-from repro.experiments.harness import sample_seed_values
 from repro.fleet import (
     FLEET_SCHEDULERS,
     FleetConfig,
@@ -353,14 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-truth", action="store_true",
                        help="seal the /truth/* routes (no ground-truth "
                             "leakage to clients)")
-    serve.add_argument("--threaded", action="store_true",
-                       help="use the http.server threaded fallback instead "
-                            "of the asyncio front end")
     serve.add_argument("--workers", type=int, default=1,
                        help="event loops serving the port (>1 starts a "
                             "SourceCluster: SO_REUSEPORT worker processes "
-                            "on shared-memory tables, or a threaded "
-                            "multi-loop fallback)")
+                            "on shared-memory tables, or event loops on "
+                            "threads where SO_REUSEPORT is missing)")
     serve.add_argument("--page-cache", type=int, default=4096,
                        help="rendered-page LRU entries per worker "
                             "(0 disables the cache)")
@@ -1179,7 +1176,6 @@ def _command_serve(args, out) -> int:
 
     from repro.metrics import MetricsRegistry
     from repro.net import AsyncSourceServer, SourceService
-    from repro.net.server import ThreadedSourceServer
     from repro.server.limits import RateLimiter
 
     sources = _build_served_sources(args)
@@ -1277,18 +1273,6 @@ def _command_serve(args, out) -> int:
         out.write(
             f"server trace written to {args.trace_out} ({spans} spans)\n"
         )
-
-    if args.threaded:
-        server = ThreadedSourceServer(service, host=args.host, port=args.port)
-        announce(server.url)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.shutdown()
-            finish_trace()
-        return 0
 
     async def run() -> None:
         server = AsyncSourceServer(service, host=args.host, port=args.port)

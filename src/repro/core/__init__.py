@@ -20,7 +20,7 @@ from repro.core.intern import (
 from repro.core.query import AnyQuery, ConjunctiveQuery, Query
 from repro.core.records import Record
 from repro.core.schema import Attribute, Schema
-from repro.core.table import RelationalTable
+from repro.core.table import RelationalTable, sample_seed_values
 from repro.core.values import AttributeValue, normalize
 
 __all__ = [
@@ -45,5 +45,6 @@ __all__ = [
     "intersect_sorted",
     "normalize",
     "pack_pair",
+    "sample_seed_values",
     "unpack_pair",
 ]

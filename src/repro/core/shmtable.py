@@ -41,10 +41,10 @@ Python 3.9+ registers *every* ``SharedMemory(name=...)`` attachment,
 and a pool worker's tracker would otherwise destroy the block (or warn
 about it) when the worker exits mid-suite.
 
-Everything degrades gracefully: :func:`supported` is False without
-numpy or ``/dev/shm``, and callers (see
-:func:`repro.experiments.harness.run_policy_suite`) fall back to the
-plain closed-over table.
+Everything degrades gracefully: :func:`supported` is False where
+:mod:`multiprocessing.shared_memory` cannot be imported, and callers
+(see :func:`repro.experiments.harness.run_policy_suite`) fall back to
+the plain closed-over table.
 """
 
 from __future__ import annotations
@@ -59,10 +59,7 @@ from repro.core.records import Record
 from repro.core.schema import Attribute, Schema
 from repro.core.values import AttributeValue, normalize
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except Exception:  # pragma: no cover - numpy-less platforms
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 try:  # pragma: no cover
     from multiprocessing import resource_tracker, shared_memory
@@ -83,7 +80,7 @@ _CREATED: Dict[str, Any] = {}
 
 def supported() -> bool:
     """Whether shared-memory payloads can be built on this platform."""
-    return np is not None and shared_memory is not None
+    return shared_memory is not None
 
 
 def _align8(offset: int) -> int:
@@ -145,8 +142,8 @@ def share_table(table) -> "SharedTableHandle":
     Raises
     ------
     RuntimeError
-        If the platform lacks numpy or POSIX shared memory (callers
-        should check :func:`supported` and fall back to the table).
+        If the platform lacks shared memory (callers should check
+        :func:`supported` and fall back to the table).
     """
     if not supported():
         raise RuntimeError("shared-memory table payloads are unavailable")

@@ -28,6 +28,7 @@ building sets.
 
 from __future__ import annotations
 
+import random
 from bisect import insort
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -250,3 +251,41 @@ class RelationalTable:
             }
             projected.append(Record(record.record_id, fields))
         return projected
+
+
+def sample_seed_values(
+    table: RelationalTable,
+    count: int,
+    rng: random.Random,
+    min_frequency: int = 1,
+) -> List[AttributeValue]:
+    """Draw seed attribute values from random records of the table.
+
+    Mirrors the paper's setup ("evaluated four times with different seed
+    values ... and the average result is reported").  One queriable
+    value is drawn from each of ``count`` random records;
+    ``min_frequency`` can bias seeds away from single-record islands
+    (used for the Amazon experiments, where a frequency-1 seed may be an
+    island the relational crawler can never leave).
+    """
+    queriable = set(table.schema.queriable)
+    record_ids = table.record_ids()
+    seeds: List[AttributeValue] = []
+    attempts = 0
+    while len(seeds) < count and attempts < 200 * count:
+        attempts += 1
+        record = table.get(record_ids[rng.randrange(len(record_ids))])
+        candidates = [
+            pair
+            for pair in record.attribute_values()
+            if pair.attribute in queriable
+            and table.frequency(pair) >= min_frequency
+        ]
+        if not candidates:
+            continue
+        value = candidates[rng.randrange(len(candidates))]
+        if value not in seeds:
+            seeds.append(value)
+    if not seeds:
+        raise ValueError("could not sample any seed values")
+    return seeds

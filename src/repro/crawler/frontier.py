@@ -14,7 +14,7 @@ import heapq
 import random
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 from repro.core.values import AttributeValue
 
@@ -212,8 +212,7 @@ class InternedPriorityFrontier(Frontier):
     **Incremental rescoring.**  :meth:`refresh_id` no longer scores and
     pushes eagerly; it only marks the id *dirty* (insertion-ordered,
     deduplicated).  The dirty set drains at the next :meth:`pop` (or
-    :meth:`state_dict`): each dirty id is rescored — through
-    ``batch_score_fn`` in one call when provided — and re-pushed **only
+    :meth:`state_dict`): each dirty id is rescored and re-pushed **only
     if its score actually changed** since its last push.  Both halves
     preserve the eager frontier's pop order exactly:
 
@@ -226,10 +225,9 @@ class InternedPriorityFrontier(Frontier):
 
     The invariant callers must keep (and the shipped greedy policies do
     keep, by refreshing every id an outcome touched): **every score
-    change is announced via refresh before the next pop**.  Two guards
-    back the invariant: the pop-time recheck (below) reinserts any
-    stale-low entry it uncovers, and each flush re-verifies the heap
-    head, correcting up to ``rescore_head`` stale entries.  As an escape
+    change is announced via refresh before the next pop**.  The pop-time
+    recheck backs the invariant: it drops dead duplicates and reinserts
+    any stale-low entry it uncovers at the heap head.  As an escape
     hatch, ``full_rescore_every=N`` rescans the *entire* pending set on
     every Nth flush (dirty ids first, in mark order, so the push order
     is unchanged when the invariant holds); the differential tests run
@@ -255,14 +253,8 @@ class InternedPriorityFrontier(Frontier):
         must not intern values it will ignore).
     value_fn:
         ``id -> AttributeValue`` (the interner's list index).
-    batch_score_fn:
-        Optional ``ids -> [score, ...]`` scoring a whole dirty set in
-        one call (see :mod:`repro.policies.vectorized`); falls back to
-        per-id ``score_id_fn`` when None.
     full_rescore_every:
         Rescore every pending id on each Nth flush (0 = never).
-    rescore_head:
-        Stale heap-head entries corrected per flush (0 disables).
     """
 
     def __init__(
@@ -271,18 +263,14 @@ class InternedPriorityFrontier(Frontier):
         intern_fn: Callable[[AttributeValue], int],
         lookup_fn: Callable[[AttributeValue], Optional[int]],
         value_fn: Callable[[int], AttributeValue],
-        batch_score_fn: Optional[Callable[[Sequence[int]], Sequence[float]]] = None,
         full_rescore_every: int = 0,
-        rescore_head: int = 8,
     ) -> None:
         super().__init__()
         self._score_id = score_id_fn
         self._intern = intern_fn
         self._lookup = lookup_fn
         self._value_of = value_fn
-        self._batch_score = batch_score_fn
         self._full_rescore_every = full_rescore_every
-        self._rescore_head = rescore_head
         self._heap: list[tuple[float, int, int]] = []
         self._tick = 0
         self._seen_ids: set[int] = set()
@@ -296,7 +284,8 @@ class InternedPriorityFrontier(Frontier):
         self._last_pushed: dict[int, float] = {}
         self._flushes = 0
         #: Monotonic counters surfaced as repro.metrics telemetry:
-        #: ids marked dirty, ids actually rescored, flush passes.
+        #: ids marked dirty, ids actually rescored, flushes that
+        #: rescored at least one id.
         self.stats = {"dirty_total": 0, "rescored_total": 0, "flushes": 0}
 
     # The base class's _seen/_insert/_remove machinery is value-keyed;
@@ -320,8 +309,6 @@ class InternedPriorityFrontier(Frontier):
     def _flush(self) -> None:
         """Drain the dirty set into the heap (see class docstring)."""
         self._flushes += 1
-        stats = self.stats
-        stats["flushes"] += 1
         dirty = self._dirty
         every = self._full_rescore_every
         if every > 0 and self._flushes % every == 0:
@@ -330,50 +317,30 @@ class InternedPriorityFrontier(Frontier):
             ids = dirty + sorted(self._pending_ids - self._dirty_set)
         else:
             ids = dirty
-        if ids:
-            stats["dirty_total"] += len(dirty)
-            stats["rescored_total"] += len(ids)
-            if self._batch_score is not None:
-                scores = self._batch_score(ids)
-            else:
-                score_id = self._score_id
-                scores = [score_id(vid) for vid in ids]
-            last = self._last_pushed
-            heap = self._heap
-            pending = self._pending_ids
-            for vid, score in zip(ids, scores):
-                if vid not in pending or score == last.get(vid):
-                    continue
-                last[vid] = score
-                self._tick += 1
-                heapq.heappush(heap, (-score, self._tick, vid))
-            self._dirty = []
-            self._dirty_set.clear()
-        head = self._rescore_head
-        if head:
-            heap = self._heap
-            pending = self._pending_ids
-            score_id = self._score_id
-            corrected = 0
-            while heap and corrected < head:
-                neg_score, _tie, vid = heap[0]
-                if vid not in pending:
-                    heapq.heappop(heap)  # prune a dead duplicate
-                    corrected += 1
-                    continue
-                fresh = score_id(vid)
-                if fresh <= -neg_score:
-                    break  # the head is current — nothing hides above it
-                heapq.heappop(heap)
-                self._last_pushed[vid] = fresh
-                self._tick += 1
-                heapq.heappush(heap, (-fresh, self._tick, vid))
-                corrected += 1
+        if not ids:
+            return
+        stats = self.stats
+        stats["flushes"] += 1
+        stats["dirty_total"] += len(dirty)
+        stats["rescored_total"] += len(ids)
+        score_id = self._score_id
+        last = self._last_pushed
+        heap = self._heap
+        pending = self._pending_ids
+        for vid in ids:
+            score = score_id(vid)
+            if vid not in pending or score == last.get(vid):
+                continue
+            last[vid] = score
+            self._tick += 1
+            heapq.heappush(heap, (-score, self._tick, vid))
+        self._dirty = []
+        self._dirty_set.clear()
 
     def pop(self) -> Optional[AttributeValue]:
         if self._pending == 0:
             return None
-        if self._dirty or self._full_rescore_every or self._rescore_head:
+        if self._dirty or self._full_rescore_every:
             self._flush()
         pending = self._pending_ids
         heap = self._heap

@@ -249,15 +249,11 @@ class LocalDatabase:
     def frequency_column(self) -> array:
         """The live id-indexed frequency column (read-only contract).
 
-        Batch scorers wrap this buffer in a numpy view; it must never be
-        mutated from outside and must be re-fetched after any ``add`` or
-        ``intern_value`` (growth may reallocate the buffer).
+        The MMMI kernel wraps this buffer in a numpy view; it must never
+        be mutated from outside and must be re-fetched after any ``add``
+        or ``intern_value`` (growth may reallocate the buffer).
         """
         return self._freq
-
-    def degree_column(self) -> array:
-        """The live id-indexed degree column (read-only contract)."""
-        return self._deg
 
     def degree(self, value: AttributeValue) -> int:
         """Degree of ``value`` in the local AVG ``G_local``."""

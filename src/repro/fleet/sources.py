@@ -32,13 +32,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import CrawlError
+from repro.core.table import sample_seed_values
 from repro.core.values import AttributeValue
 from repro.crawler.abortion import PageCapAbort
 from repro.crawler.engine import CrawlerEngine
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.datasets.zipf import pareto_int
 from repro.domain.table import build_domain_table
-from repro.experiments.harness import sample_seed_values
 from repro.policies.domain import DomainKnowledgeSelector
 from repro.policies.greedy import GreedyFrequencySelector, GreedyLinkSelector
 from repro.policies.mmmi import MinMaxMutualInformationSelector

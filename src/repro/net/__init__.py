@@ -9,8 +9,7 @@ network boundary.  Three layers:
   ``/sources/<name>/query``, serving the existing XML envelope plus a
   JSON content type, with paging, per-client rate limits,
   ``Retry-After`` politeness headers, and a Prometheus ``/metrics``
-  endpoint (a threaded :mod:`http.server` fallback shares the exact
-  same request handler);
+  endpoint;
 - :mod:`repro.net.client` — :class:`RemoteWebDatabase`, the crawler's
   HTTP client: it implements the same surface the crawler engine uses
   on the in-process source (``interface``/``page_size``/``submit``/
@@ -24,9 +23,10 @@ network boundary.  Three layers:
   hundreds-to-thousands of concurrent crawl sessions against one
   service process, reporting throughput and p50/p95/p99 latency;
 - :mod:`repro.net.cluster` — :class:`SourceCluster`, the multi-core
-  lane: N ``SO_REUSEPORT`` worker processes (or a threaded multi-loop
-  fallback) serving one port from shared-memory tables, with a control
-  plane that merges per-worker accounting deterministically;
+  lane: N ``SO_REUSEPORT`` worker processes (or, where
+  ``SO_REUSEPORT`` is missing, N event loops on threads) serving one
+  port from shared-memory tables, with a control plane that merges
+  per-worker accounting deterministically;
 - :mod:`repro.net.cache` — the rendered-page LRU behind the service's
   ``ETag``/``If-None-Match`` revalidation.
 

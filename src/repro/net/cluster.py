@@ -12,7 +12,8 @@ service across cores without changing what the wire says:
   through :func:`repro.core.shmtable.share_table` and every worker
   attaches the read-only :class:`~repro.core.shmtable.FrozenTableView`
   (falling back to a pickled copy where shared memory is unavailable).
-- **Thread lane** (fallback, or ``mode="thread"``): one process, N
+- **Thread lane** (the fallback where ``SO_REUSEPORT`` is missing —
+  Windows — or ``mode="thread"``): one process, N
   event loops on N threads sharing a single
   :class:`~repro.net.server.SourceService` (its per-source locks make
   that safe); a tiny acceptor thread takes connections off one

@@ -20,11 +20,7 @@ Layering:
   open socket and cancels every handler task.  It can also listen on a
   caller-provided socket (the ``SO_REUSEPORT`` cluster lane,
   :mod:`repro.net.cluster`) or adopt already-accepted connections (the
-  cluster's threaded fallback);
-- :class:`ThreadedSourceServer` is the :mod:`http.server` fallback for
-  environments where an event loop is unavailable (or already owned by
-  someone else) — it shares the exact same :class:`SourceService`
-  handler, whose per-source locks make the threaded path safe;
+  cluster's thread lane, for platforms without ``SO_REUSEPORT``);
 - :class:`ServerThread` runs an :class:`AsyncSourceServer` on a
   background thread, which is how tests and the load-test harness get
   a live service inside one process.
@@ -50,6 +46,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.core.errors import PaginationError, UnsupportedQueryError
+from repro.core.table import sample_seed_values
 from repro.metrics import MetricsRegistry, prometheus_text
 from repro.net.cache import (
     DEFAULT_PAGE_CACHE_SIZE,
@@ -161,11 +158,10 @@ class SourceService:
         self.expose_truth = expose_truth
         # Locking is sharded per source: SimulatedWebDatabase's order
         # cache and communication log are not thread-safe, and the
-        # threaded fallback (plus the cluster's multi-loop lane) may
-        # hit them from many threads at once — but requests to
-        # *different* sources share no mutable state, so they never
-        # contend.  The asyncio server is single-threaded, where these
-        # locks are uncontended.
+        # cluster's thread lane runs several event loops over one
+        # service — but requests to *different* sources share no
+        # mutable state, so they never contend.  A single asyncio
+        # server is single-threaded, where these locks are uncontended.
         self._locks: Dict[str, threading.RLock] = {
             name: threading.RLock() for name in self.sources
         }
@@ -634,8 +630,6 @@ class SourceService:
                     # Mirrors the in-process lane exactly: CLI crawls
                     # draw seeds with sample_seed_values, so a remote
                     # crawl at the same seed starts identically.
-                    from repro.experiments.harness import sample_seed_values
-
                     values = sample_seed_values(
                         source.table,
                         count,
@@ -716,7 +710,7 @@ class AsyncSourceServer:
     async def adopt(self, sock) -> None:
         """Serve one already-accepted connection socket.
 
-        The cluster's threaded fallback accepts on a single parent
+        The cluster's thread lane accepts on a single parent
         socket and hands connections to worker loops round-robin; this
         wraps the raw socket in the same stream pair
         ``asyncio.start_server`` would have produced and runs the
@@ -840,68 +834,6 @@ class AsyncSourceServer:
             lines.append(f"{name}: {value}")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         writer.write(head if head_only else head + response.body)
-
-
-# ----------------------------------------------------------------------
-# http.server fallback (threads, no event loop)
-# ----------------------------------------------------------------------
-class ThreadedSourceServer:
-    """The same service over ``http.server.ThreadingHTTPServer``.
-
-    One thread per connection; :class:`SourceService`'s lock keeps the
-    mounted sources consistent.  Useful where the process cannot own an
-    event loop; the asyncio front end is the primary lane.
-    """
-
-    def __init__(
-        self, service: SourceService, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        outer = service
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def _serve(self, head_only: bool) -> None:
-                headers = {
-                    name.lower(): value for name, value in self.headers.items()
-                }
-                response = outer.handle(
-                    self.command, self.path, headers, self.client_address[0]
-                )
-                self.send_response(response.status)
-                self.send_header("Content-Type", response.content_type)
-                self.send_header("Content-Length", str(len(response.body)))
-                for name, value in response.headers:
-                    self.send_header(name, value)
-                self.end_headers()
-                if not head_only:
-                    self.wfile.write(response.body)
-
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                self._serve(head_only=False)
-
-            def do_HEAD(self) -> None:  # noqa: N802 - http.server API
-                self._serve(head_only=True)
-
-            def log_message(self, *args) -> None:  # silence stderr
-                pass
-
-        self.service = service
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self.host, self.port = self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever()
-
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
 
 
 # ----------------------------------------------------------------------

@@ -22,12 +22,10 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.core.errors import CrawlError
 from repro.core.values import AttributeValue
 from repro.crawler.context import CrawlerContext
 from repro.crawler.frontier import InternedPriorityFrontier, PriorityFrontier
 from repro.crawler.prober import QueryOutcome
-from repro.policies import vectorized
 from repro.policies.base import QuerySelector
 
 
@@ -42,13 +40,12 @@ class _PrioritySelector(QuerySelector):
 
     When the bound local database exposes an interner (the default
     :class:`~repro.crawler.localdb.LocalDatabase`), the frontier runs on
-    dense int ids and the id-indexed score arrays — with the dirty-set
-    rescore vectorized over the statistic columns when numpy is present
-    (:mod:`repro.policies.vectorized`).  A database without an interner
-    (e.g. the differential
+    dense int ids and the id-indexed score arrays.  A database without
+    an interner (e.g. the differential
     :class:`~repro.crawler.reference.ReferenceLocalDatabase`) gets the
     original value-keyed frontier.  Pop order is identical either way —
-    the benchmark's bit-identity assertion depends on it.
+    the crawl-level identity tests and the hot-path benchmark depend on
+    it.
 
     Parameters
     ----------
@@ -56,24 +53,11 @@ class _PrioritySelector(QuerySelector):
         Forwarded to :class:`InternedPriorityFrontier` — rescore the
         whole pending set every Nth flush (0 = never; the differential
         tests pin ``1`` against the default).
-    rescore_head:
-        Forwarded stale-head correction bound per flush.
-    use_vectorized:
-        ``None`` (default) auto-selects the numpy batch scorer when
-        available; ``False`` forces the scalar path; ``True`` requires
-        the batch scorer and raises if the platform cannot provide it.
     """
 
-    def __init__(
-        self,
-        full_rescore_every: int = 0,
-        rescore_head: int = 8,
-        use_vectorized: bool | None = None,
-    ) -> None:
+    def __init__(self, full_rescore_every: int = 0) -> None:
         super().__init__()
         self.full_rescore_every = full_rescore_every
-        self.rescore_head = rescore_head
-        self.use_vectorized = use_vectorized
 
     def _score(self, value: AttributeValue) -> float:
         raise NotImplementedError
@@ -82,30 +66,16 @@ class _PrioritySelector(QuerySelector):
         """Id-indexed score function over an interned local database."""
         raise NotImplementedError
 
-    def _batch_score_fn(self, local):
-        """Numpy batch scorer over the database's columns, or None."""
-        return None
-
     def bind(self, context: CrawlerContext) -> None:
         super().bind(context)
         local = context.local_db
         if hasattr(local, "interner"):
-            batch = None
-            if self.use_vectorized is not False:
-                batch = self._batch_score_fn(local)
-                if batch is None and self.use_vectorized is True:
-                    raise CrawlError(
-                        f"{type(self).__name__}(use_vectorized=True) but no "
-                        "numpy batch scorer is available on this platform"
-                    )
             self._frontier = InternedPriorityFrontier(
                 self._score_id_fn(local),
                 local.intern_value,
                 local.value_id,
                 local.interner.value,
-                batch_score_fn=batch,
                 full_rescore_every=self.full_rescore_every,
-                rescore_head=self.rescore_head,
             )
         else:
             self._frontier = PriorityFrontier(self._score)
@@ -181,9 +151,6 @@ class GreedyLinkSelector(_PrioritySelector):
         degree_id = local.degree_id
         return lambda vid: float(degree_id(vid))
 
-    def _batch_score_fn(self, local):
-        return vectorized.degree_batch_scorer(local)
-
 
 class GreedyFrequencySelector(_PrioritySelector):
     """Ablation variant: rank candidates by local match count instead."""
@@ -198,6 +165,3 @@ class GreedyFrequencySelector(_PrioritySelector):
     def _score_id_fn(self, local):
         frequency_id = local.frequency_id
         return lambda vid: float(frequency_id(vid))
-
-    def _batch_score_fn(self, local):
-        return vectorized.frequency_batch_scorer(local)

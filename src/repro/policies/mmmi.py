@@ -55,14 +55,14 @@ class MinMaxMutualInformationSelector(QuerySelector):
         with no co-occurrence at all (score ``-inf``) — prefer higher
         local degree, keeping GL's productivity signal as a secondary
         key.
-    use_vectorized:
-        ``None`` (default) auto-selects the numpy queried-major kernel
-        (:func:`repro.policies.vectorized.mmmi_best_ratios`) when the
-        platform and configuration support it (``aggregate="max"`` on a
-        co-occurrence-tracking interned database); ``False`` forces the
-        scalar recompute; ``True`` requires the kernel and raises at
-        bind time if it cannot run.  Both paths are bit-identical (see
-        the differential suite).
+
+    With ``aggregate="max"`` on a co-occurrence-tracking interned
+    database, the recompute runs the numpy queried-major kernel
+    (:func:`repro.policies.vectorized.mmmi_best_ratios`); ``mean``, and
+    any database the kernel cannot serve, take the scalar loop.  The
+    kernel is bit-identical to the scalar path: the crawl-level identity
+    tests compare it against
+    :class:`~repro.crawler.reference.ReferenceLocalDatabase`.
     """
 
     requires_cooccurrence = True
@@ -73,7 +73,6 @@ class MinMaxMutualInformationSelector(QuerySelector):
         aggregate: str = "max",
         tie_break_degree: bool = True,
         popularity_weight: float = 1.0,
-        use_vectorized: Optional[bool] = None,
     ) -> None:
         super().__init__()
         if batch_size < 1:
@@ -86,7 +85,6 @@ class MinMaxMutualInformationSelector(QuerySelector):
         self.aggregate = aggregate
         self.tie_break_degree = tie_break_degree
         self.popularity_weight = popularity_weight
-        self.use_vectorized = use_vectorized
         # Candidate values mapped to their cached interned id (None
         # until the value is first seen in a harvested record); dict
         # order is insertion order but never influences selection — the
@@ -98,18 +96,6 @@ class MinMaxMutualInformationSelector(QuerySelector):
     @property
     def name(self) -> str:
         return "mmmi"
-
-    def bind(self, context) -> None:
-        super().bind(context)
-        if self.use_vectorized is True and not (
-            self.aggregate == "max"
-            and vectorized.supports_mmmi(context.local_db)
-        ):
-            raise CrawlError(
-                "MinMaxMutualInformationSelector(use_vectorized=True) "
-                "requires aggregate='max', a co-occurrence-tracking "
-                "interned database, and numpy"
-            )
 
     # ------------------------------------------------------------------
     def add_candidate(self, value: AttributeValue) -> None:
@@ -268,13 +254,14 @@ class MinMaxMutualInformationSelector(QuerySelector):
 
         One interner lookup per queried value; candidate ids are cached
         at discovery (:meth:`add_candidate_id`), so candidates hash only
-        until first resolved.  With numpy present and ``aggregate="max"``
-        the per-candidate dependency maxes run queried-major through
-        :func:`repro.policies.vectorized.mmmi_best_ratios`; the scalar
-        fallback iterates candidate-major over the same pairs.  Both
-        produce identical keys (see :mod:`repro.policies.vectorized` for
-        the exactness argument), and only the top ``batch_size`` keys
-        can be consumed before the next recompute, so a bounded
+        until first resolved.  With ``aggregate="max"`` on a
+        co-occurrence-tracking database the per-candidate dependency
+        maxes run queried-major through
+        :func:`repro.policies.vectorized.mmmi_best_ratios`; otherwise
+        the scalar loop iterates candidate-major over the same pairs.
+        Both produce identical keys (see :mod:`repro.policies.vectorized`
+        for the exactness argument), and only the top ``batch_size``
+        keys can be consumed before the next recompute, so a bounded
         ``heapq.nlargest`` replaces the full sort — keys are unique
         (final tie-break is the value itself), making the selection
         independent of candidate iteration order.
@@ -299,12 +286,7 @@ class MinMaxMutualInformationSelector(QuerySelector):
         log1p = math.log1p
         neg_inf = -math.inf
         keyed = []
-        use_vec = (
-            self.use_vectorized is not False
-            and use_max
-            and vectorized.supports_mmmi(local)
-        )
-        if use_vec:
+        if use_max and vectorized.supports_mmmi(local):
             pairs = [
                 (value, vid)
                 for value, vid in candidates.items()

@@ -1,19 +1,15 @@
-"""Batch scoring kernels over the interned statistic columns.
+"""The MMMI batch kernel over the interned statistic columns.
 
-The scalar hot loops — GL's per-id degree lookups and MMMI's per-pair
-PMI reads — spend most of their time in Python-level dict/array access.
-This module lifts both onto numpy views built **directly on the live
-``array('I')`` columns** of :class:`~repro.crawler.localdb.LocalDatabase`
-(no copies of the statistics, only of the gathered results):
-
-- :func:`degree_batch_scorer` / :func:`frequency_batch_scorer` gather
-  many frontier scores in one fancy-index read — the incremental
-  frontier's flush hands its whole dirty set to one call.
-- :func:`mmmi_best_ratios` computes, for every candidate, the **maximum
-  co-occurrence ratio** ``joint·n / (f_cand·f_q)`` over the issued
-  queries, iterating *queried-major*: each issued query's co-occurrence
-  row (:meth:`~repro.crawler.localdb.LocalDatabase.cooc_row`) bulk-loads
-  into two arrays and scatters into a per-candidate running max.
+MMMI's scalar recompute spends most of its time in per-pair
+Python-level dict/array reads.  :func:`mmmi_best_ratios` lifts that loop
+onto numpy views built **directly on the live** ``array('I')``
+frequency column of :class:`~repro.crawler.localdb.LocalDatabase` (no
+copies of the statistics, only of the gathered results).  For every
+candidate it computes the **maximum co-occurrence ratio**
+``joint·n / (f_cand·f_q)`` over the issued queries, iterating
+*queried-major*: each issued query's co-occurrence row
+(:meth:`~repro.crawler.localdb.LocalDatabase.cooc_row`) bulk-loads into
+two arrays and scatters into a per-candidate running max.
 
 Bit-identity with the scalar path is a design constraint, not an
 accident:
@@ -30,69 +26,24 @@ accident:
   pairs: a co-occurrence row holds precisely the positive-joint
   neighbours, and ``max`` is order-independent.
 
-The MMMI kernel is only equivalent to ``aggregate="max"``; the ``mean``
-variant sums logs in set-iteration order and stays on the scalar path.
-Everything here degrades to ``None`` when numpy is unavailable (callers
-fall back to the scalar loops) — numpy is an accelerator, never a
-dependency.
+The kernel is only equivalent to ``aggregate="max"``; the ``mean``
+variant sums logs in set-iteration order and stays on the scalar
+:meth:`~repro.crawler.localdb.LocalDatabase.dependency_score_ids`.
+GL's and GF's frontier flushes score per id: their dirty sets are small
+(a median of 22–24 ids on ebay crawls), and below about 50 ids a Python
+loop beats a numpy gather (DESIGN.md §6, item 8).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except Exception:  # pragma: no cover - numpy-less platforms
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-#: ``array('I')`` must be 4 bytes for the zero-copy uint32 views; on the
-#: (rare) platform where it is not, every kernel silently declines.
-_U32_OK = np is not None and array("I").itemsize == 4
-
-BatchScoreFn = Callable[[Sequence[int]], List[float]]
-
-
-def available() -> bool:
-    """Whether the numpy kernels can run on this platform."""
-    return _U32_OK
-
-
-def _column_scorer(column_fn: Callable[[], array]) -> BatchScoreFn:
-    """Batch scorer gathering float scores from a live uint32 column."""
-
-    def score_ids(ids: Sequence[int]) -> List[float]:
-        column = column_fn()
-        view = np.frombuffer(column, dtype=np.uint32)
-        idx = np.fromiter(ids, dtype=np.int64, count=len(ids))
-        if view.shape[0] == 0 or (idx >= view.shape[0]).any():
-            # Ids past the column's end score 0, like the scalar guard.
-            size = view.shape[0]
-            return [float(view[i]) if i < size else 0.0 for i in ids]
-        return view[idx].astype(np.float64).tolist()
-
-    return score_ids
-
-
-def degree_batch_scorer(local) -> Optional[BatchScoreFn]:
-    """GL's batch scorer over the live degree column, or None."""
-    if not _U32_OK:
-        return None
-    column_fn = getattr(local, "degree_column", None)
-    if column_fn is None:
-        return None
-    return _column_scorer(column_fn)
-
-
-def frequency_batch_scorer(local) -> Optional[BatchScoreFn]:
-    """GF's batch scorer over the live frequency column, or None."""
-    if not _U32_OK:
-        return None
-    column_fn = getattr(local, "frequency_column", None)
-    if column_fn is None:
-        return None
-    return _column_scorer(column_fn)
+#: ``array('I')`` must be 4 bytes for the zero-copy uint32 view; on the
+#: (rare) platform where it is not, MMMI stays on the scalar recompute.
+_U32_OK = array("I").itemsize == 4
 
 
 def supports_mmmi(local) -> bool:

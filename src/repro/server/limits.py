@@ -120,7 +120,7 @@ class RateLimiter:
     resets the violation count — only sustained hammering escalates.
 
     All state is guarded by one lock: the asyncio front end is
-    single-threaded but the threaded fallback (and tests) hit the
+    single-threaded but the cluster's thread lane (and tests) hit the
     limiter from many threads at once.
 
     ``clock`` is injectable (monotonic seconds) so tests can step time

@@ -27,6 +27,12 @@ class TestSampleSeeds:
         b = sample_seed_values(small_ebay, 4, random.Random(9))
         assert a == b
 
+    def test_harness_reexports_the_core_function(self):
+        from repro.core import sample_seed_values as core_fn
+        from repro.experiments.harness import sample_seed_values as harness_fn
+
+        assert harness_fn is core_fn is sample_seed_values
+
 
 class TestRunPolicy:
     def test_aggregates_over_seed_sets(self, books):

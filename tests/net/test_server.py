@@ -9,10 +9,8 @@ from urllib.parse import urlencode
 import pytest
 
 from repro.core import Query
-from repro.metrics import MetricsRegistry
 from repro.net import ServerThread, SourceService
 from repro.net.protocol import parse_page_json
-from repro.net.server import ThreadedSourceServer
 from repro.server import RateLimiter, SimulatedWebDatabase, parse_page
 
 
@@ -188,7 +186,7 @@ class TestTruthRoutes:
     def test_seeds_mirror_sample_seed_values(self, service, books):
         import random
 
-        from repro.experiments.harness import sample_seed_values
+        from repro.core import sample_seed_values
 
         expected = sample_seed_values(
             books, 2, random.Random(7), min_frequency=2
@@ -281,26 +279,3 @@ class TestAsyncTransport:
             probe.bind((host, int(port)))
         finally:
             probe.close()
-
-
-class TestThreadedFallback:
-    def test_same_handler_same_answers(self, service, books):
-        from repro.core import Query
-
-        expected = SimulatedWebDatabase(books, page_size=2).submit(
-            Query.equality("publisher", "orbit")
-        )
-        server = ThreadedSourceServer(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with urllib.request.urlopen(
-                server.url + "/sources/books/query?a=publisher&v=orbit",
-                timeout=10,
-            ) as response:
-                assert response.status == 200
-                page = parse_page_json(response.read().decode("utf-8"))
-            assert page == expected
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)

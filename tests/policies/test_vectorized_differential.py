@@ -1,18 +1,23 @@
-"""Differential tests: vectorized scoring must match the scalar path bit for bit.
+"""Differential tests: the interned scoring paths must match the reference.
 
-The numpy kernels in :mod:`repro.policies.vectorized` are pure
-accelerators — every selection decision they feed must be *identical*
-to the pure-python loops they replace, or parallel/accelerated runs
-stop being reproductions of the paper's sequential crawls.  These tests
-pin that contract two ways:
+GL, GF and MMMI score candidates over the interned
+:class:`~repro.crawler.localdb.LocalDatabase` — GL and GF through the
+incremental :class:`~repro.crawler.frontier.InternedPriorityFrontier`,
+MMMI ``max`` through the numpy kernel in
+:mod:`repro.policies.vectorized`.  Every selection decision they make
+must be *identical* to the pre-interning value-keyed paths that
+:class:`~repro.crawler.reference.ReferenceLocalDatabase` still runs, or
+accelerated runs stop being reproductions of the paper's sequential
+crawls.  These tests pin that contract two ways:
 
-- **Crawl-level**: full crawls with ``use_vectorized=True`` vs ``False``
-  produce equal :class:`~repro.crawler.engine.CrawlResult`\\ s (same
-  query sequence, same step history, same coverage).
-- **Kernel-level**: the batch scorers and :func:`mmmi_best_ratios`
-  reproduce the scalar arithmetic exactly — including the zero
-  frequency, empty-queried-set, no-co-occurrence, and id-past-column
-  edges where the guards (not the arithmetic) decide the answer.
+- **Crawl-level**: the same crawl on both databases issues the same
+  queries in the same order, harvests the same records, and yields an
+  equal :class:`~repro.crawler.engine.CrawlResult` (rounds, per-step
+  history, coverage) — for GL, GF, MMMI ``max`` and MMMI ``mean``.
+- **Kernel-level**: :func:`mmmi_best_ratios` reproduces the scalar
+  arithmetic exactly — including the zero frequency, empty-queried-set,
+  no-co-occurrence, and id-past-column edges where the guards (not the
+  arithmetic) decide the answer.
 """
 
 import math
@@ -20,8 +25,9 @@ import random
 
 import pytest
 
-from repro.core import AttributeValue, CrawlError
-from repro.crawler import CrawlerEngine, LocalDatabase
+from repro.core import AttributeValue, sample_seed_values
+from repro.crawler import CrawlerEngine, LocalDatabase, ReferenceLocalDatabase
+from repro.datasets.registry import load_dataset
 from repro.policies import (
     GreedyFrequencySelector,
     GreedyLinkSelector,
@@ -31,77 +37,117 @@ from repro.policies import vectorized
 from repro.server import SimulatedWebDatabase
 from tests.conftest import make_record
 
-needs_numpy = pytest.mark.skipif(
-    not vectorized.available(), reason="numpy kernels unavailable"
-)
-
 
 def AV(attribute, value):
     return AttributeValue(attribute, value)
 
 
-def crawl_signature(table, selector, max_queries=45):
-    """One deterministic crawl; the full result doubles as the signature."""
-    server = SimulatedWebDatabase(table, page_size=10)
-    engine = CrawlerEngine(server, selector, seed=11)
-    seed_value = next(
+#: The four scoring configurations, each crawled on both databases.
+POLICIES = {
+    "gl": GreedyLinkSelector,
+    "gf": GreedyFrequencySelector,
+    "mmmi-max": lambda: MinMaxMutualInformationSelector(batch_size=5),
+    "mmmi-mean": lambda: MinMaxMutualInformationSelector(
+        batch_size=5, aggregate="mean"
+    ),
+}
+
+
+def ebay_seed(table):
+    return next(
         value
         for value in table.distinct_values("seller")
         if table.frequency(value) >= 3
     )
-    result = engine.crawl([seed_value], max_queries=max_queries)
-    return result, list(engine.context.lqueried)
 
 
-@needs_numpy
+def crawl_signature(table, selector, seeds, reference=False, **stop):
+    """One deterministic crawl: its result, query sequence and records.
+
+    ``reference=True`` crawls on the pre-interning
+    :class:`ReferenceLocalDatabase`, where every selector falls back to
+    its value-keyed scalar path.
+    """
+    server = SimulatedWebDatabase(table, page_size=10)
+    local_db = (
+        ReferenceLocalDatabase(
+            track_cooccurrence=selector.requires_cooccurrence
+        )
+        if reference
+        else None  # the engine builds the interned LocalDatabase
+    )
+    engine = CrawlerEngine(server, selector, seed=11, local_db=local_db)
+    result = engine.crawl(seeds, **stop)
+    return result, list(engine.context.lqueried), engine.local_db.record_ids()
+
+
+def assert_matches_reference(table, factory, seeds):
+    """Same queries, records, rounds and per-step history on both DBs."""
+    fast, fast_q, fast_records = crawl_signature(
+        table, factory(), seeds, target_coverage=0.95
+    )
+    slow, slow_q, slow_records = crawl_signature(
+        table, factory(), seeds, reference=True, target_coverage=0.95
+    )
+    assert fast.coverage >= 0.95
+    assert fast_q == slow_q
+    assert fast_records == slow_records
+    assert fast == slow
+
+
+@pytest.fixture(scope="module", params=["dblp", "imdb", "acm"])
+def generated_source(request):
+    """A small generated source of each shape, with a sampled seed."""
+    table = load_dataset(request.param, 1500, 3)
+    return table, sample_seed_values(
+        table, 1, random.Random(3), min_frequency=2
+    )
+
+
 class TestCrawlLevelIdentity:
     @pytest.mark.parametrize(
         "factory", [GreedyLinkSelector, GreedyFrequencySelector]
     )
     def test_priority_selectors_match_scalar(self, small_ebay, factory):
-        fast, fast_q = crawl_signature(small_ebay, factory(use_vectorized=True))
-        slow, slow_q = crawl_signature(small_ebay, factory(use_vectorized=False))
-        assert fast_q == slow_q
-        assert fast == slow
+        assert_matches_reference(small_ebay, factory, [ebay_seed(small_ebay)])
 
     def test_mmmi_matches_scalar(self, small_ebay):
-        fast, fast_q = crawl_signature(
-            small_ebay, MinMaxMutualInformationSelector(use_vectorized=True)
+        assert_matches_reference(
+            small_ebay, MinMaxMutualInformationSelector, [ebay_seed(small_ebay)]
         )
-        slow, slow_q = crawl_signature(
-            small_ebay, MinMaxMutualInformationSelector(use_vectorized=False)
-        )
-        assert fast_q == slow_q
-        assert fast == slow
 
     def test_mmmi_small_batch_matches_scalar(self, small_ebay):
         """Frequent recomputes stress the queried-major scatter path."""
-        fast, _ = crawl_signature(
-            small_ebay,
-            MinMaxMutualInformationSelector(batch_size=5, use_vectorized=True),
+        assert_matches_reference(
+            small_ebay, POLICIES["mmmi-max"], [ebay_seed(small_ebay)]
         )
-        slow, _ = crawl_signature(
-            small_ebay,
-            MinMaxMutualInformationSelector(batch_size=5, use_vectorized=False),
+
+    def test_mmmi_mean_matches_scalar(self, small_ebay):
+        """``mean`` runs the interned scalar loop, not the kernel."""
+        assert_matches_reference(
+            small_ebay, POLICIES["mmmi-mean"], [ebay_seed(small_ebay)]
         )
-        assert fast == slow
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_generated_sources_match_scalar(generated_source, policy):
+    """Multi-valued co-author and cast lists: MMMI's own regime."""
+    table, seeds = generated_source
+    assert_matches_reference(table, POLICIES[policy], seeds)
 
 
 class TestVectorizedValidation:
-    def test_mean_aggregate_rejects_forced_vectorized(self, small_ebay):
-        """The kernel only reproduces ``max``; forcing it on ``mean`` fails."""
-        selector = MinMaxMutualInformationSelector(
-            aggregate="mean", use_vectorized=True
-        )
-        server = SimulatedWebDatabase(small_ebay, page_size=10)
-        with pytest.raises(CrawlError):
-            CrawlerEngine(server, selector, seed=11)
+    def test_mean_aggregate_auto_stays_scalar(self, small_ebay, monkeypatch):
+        """Only ``max`` may reach the kernel; ``mean`` never calls it."""
 
-    def test_mean_aggregate_auto_stays_scalar(self, small_ebay):
-        """``use_vectorized=None`` silently keeps mean on the scalar path."""
-        result, _ = crawl_signature(
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("mean aggregate reached the max kernel")
+
+        monkeypatch.setattr(vectorized, "mmmi_best_ratios", forbidden)
+        result, _, _ = crawl_signature(
             small_ebay,
             MinMaxMutualInformationSelector(aggregate="mean"),
+            [ebay_seed(small_ebay)],
             max_queries=20,
         )
         assert result.queries_issued > 0
@@ -124,7 +170,6 @@ def correlated_local():
     return local
 
 
-@needs_numpy
 class TestMMMIKernelEdges:
     def scalar_bits(self, local, queried_ids, cand_ids):
         """The scalar reference: exp of dependency_score_ids per candidate."""
@@ -193,55 +238,3 @@ class TestMMMIKernelEdges:
         assert vectorized.mmmi_best_ratios(local, queried, cands) == (
             vectorized.mmmi_best_ratios(local, queried[:1], cands)
         )
-
-
-@needs_numpy
-class TestColumnScorerEdges:
-    @pytest.mark.parametrize(
-        "make_scorer, scalar_name",
-        [
-            (vectorized.degree_batch_scorer, "degree_id"),
-            (vectorized.frequency_batch_scorer, "frequency_id"),
-        ],
-    )
-    def test_matches_scalar_loop(self, make_scorer, scalar_name):
-        local = correlated_local()
-        scorer = make_scorer(local)
-        assert scorer is not None
-        scalar = getattr(local, scalar_name)
-        ids = list(range(len(local.interner)))
-        random.Random(3).shuffle(ids)
-        assert scorer(ids) == [float(scalar(vid)) for vid in ids]
-
-    @pytest.mark.parametrize(
-        "make_scorer",
-        [vectorized.degree_batch_scorer, vectorized.frequency_batch_scorer],
-    )
-    def test_ids_past_column_end_score_zero(self, make_scorer):
-        local = correlated_local()
-        scorer = make_scorer(local)
-        in_range = local.value_id(AV("b", "paired"))
-        scores = scorer([in_range, 10_000])
-        assert scores[1] == 0.0
-        assert scores[0] == scorer([in_range])[0]
-
-    @pytest.mark.parametrize(
-        "make_scorer",
-        [vectorized.degree_batch_scorer, vectorized.frequency_batch_scorer],
-    )
-    def test_empty_database_and_empty_batch(self, make_scorer):
-        local = LocalDatabase(track_cooccurrence=True)
-        scorer = make_scorer(local)
-        assert scorer([]) == []
-        assert scorer([0, 5]) == [0.0, 0.0]
-
-    def test_scorer_sees_live_column_growth(self):
-        """Columns may reallocate on add; the scorer must re-fetch."""
-        local = LocalDatabase(track_cooccurrence=True)
-        scorer = vectorized.frequency_batch_scorer(local)
-        local.add(make_record(1, a="v"))
-        vid = local.value_id(AV("a", "v"))
-        assert scorer([vid]) == [1.0]
-        for i in range(2, 200):
-            local.add(make_record(i, a="v", b=f"pad{i}"))
-        assert scorer([vid]) == [float(local.frequency_id(vid))]

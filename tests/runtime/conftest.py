@@ -48,7 +48,7 @@ def make_flaky_server(table) -> FlakyServer:
     )
 
 
-def make_engine(table, selector, bus=None) -> CrawlerEngine:
+def make_engine(table, selector, bus=None, local_db=None) -> CrawlerEngine:
     return CrawlerEngine(
         make_flaky_server(table),
         selector,
@@ -56,6 +56,7 @@ def make_engine(table, selector, bus=None) -> CrawlerEngine:
         max_retries=MAX_RETRIES,
         backoff=make_backoff(),
         bus=bus,
+        local_db=local_db,
     )
 
 

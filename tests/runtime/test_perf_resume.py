@@ -1,20 +1,21 @@
-"""Crash/resume under the performance knobs.
+"""Crash/resume under the performance paths.
 
-The incremental frontier and the vectorized kernels are pure
-accelerations — so a crawl configured with them must not only match an
-unaccelerated crawl, it must *crash and resume* into the same
-bit-identical result.  The resumed process may even disagree with the
-crashed one about the knobs (scalar reference vs vectorized resume):
-the checkpoint encodes scores and values, never kernel choices, so any
-configuration must resume any other's checkpoint losslessly.
+The incremental frontier and the MMMI kernel are pure accelerations —
+so a crawl running them must not only match the unaccelerated crawl on
+the pre-interning :class:`~repro.crawler.reference.ReferenceLocalDatabase`,
+it must *crash and resume* into the same bit-identical result.  The
+resumed process may even disagree with the crashed one about the
+frontier's rescore cadence: the checkpoint encodes scores and values,
+never scoring choices, so any configuration must resume any other's
+checkpoint losslessly.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.crawler import ReferenceLocalDatabase
 from repro.policies import GreedyLinkSelector, MinMaxMutualInformationSelector
-from repro.policies import vectorized
 from repro.runtime.crawler import RuntimeCrawler
 from repro.runtime.events import CrashAfterSteps, EventBus, SimulatedCrash
 
@@ -29,40 +30,35 @@ from tests.runtime.conftest import (
 
 CRASH_AFTER = 13
 
-#: (reference selector, crashing selector, resuming selector) — each row
-#: pins one acceleration knob across a crash boundary.
+#: (crashing selector, resuming selector) — each row pins one
+#: accelerated path across a crash boundary; the reference crawl runs
+#: the crashing selector's config on the reference database.
 CONFIGS = {
     "gl-full-rescore": (
-        lambda: GreedyLinkSelector(),
         lambda: GreedyLinkSelector(full_rescore_every=1),
-        lambda: GreedyLinkSelector(full_rescore_every=1),
-    ),
-    "gl-scalar-to-vectorized": (
         lambda: GreedyLinkSelector(),
-        lambda: GreedyLinkSelector(use_vectorized=False),
-        lambda: GreedyLinkSelector(use_vectorized=True),
     ),
     "mmmi-vectorized": (
-        lambda: MinMaxMutualInformationSelector(batch_size=5, use_vectorized=False),
-        lambda: MinMaxMutualInformationSelector(batch_size=5, use_vectorized=True),
-        lambda: MinMaxMutualInformationSelector(batch_size=5, use_vectorized=True),
+        lambda: MinMaxMutualInformationSelector(batch_size=5),
+        lambda: MinMaxMutualInformationSelector(batch_size=5),
     ),
 }
-
-VECTOR_KEYS = {"gl-scalar-to-vectorized", "mmmi-vectorized"}
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_crash_resume_matches_unaccelerated_reference(
     tmp_path, config, flaky_table
 ):
-    if config in VECTOR_KEYS and not vectorized.available():
-        pytest.skip("numpy kernels unavailable")
-    make_reference, make_crashing, make_resuming = CONFIGS[config]
+    make_crashing, make_resuming = CONFIGS[config]
 
-    reference = make_engine(flaky_table, make_reference()).crawl(
-        seed_values(flaky_table), max_queries=MAX_QUERIES
-    )
+    selector = make_crashing()
+    reference = make_engine(
+        flaky_table,
+        selector,
+        local_db=ReferenceLocalDatabase(
+            track_cooccurrence=selector.requires_cooccurrence
+        ),
+    ).crawl(seed_values(flaky_table), max_queries=MAX_QUERIES)
 
     bus = EventBus()
     bus.attach(CrashAfterSteps(CRASH_AFTER))
