@@ -50,7 +50,7 @@ def main() -> None:
     print(f"mean estimate: {interval.mean:,.0f} records")
     print(f"90% interval:  [{interval.lower:,.0f}, {interval.upper:,.0f}]")
     print(f"90% one-sided upper bound: {bound:,.0f}")
-    print(f"(paper's statement had this form: 'with 90% confidence, the")
+    print("(paper's statement had this form: 'with 90% confidence, the")
     print(f" database contains less than {bound:,.0f} records')")
 
 

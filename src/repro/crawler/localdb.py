@@ -14,7 +14,7 @@ Internally every statistic is **array-backed and id-indexed**: a
 :class:`~repro.core.intern.ValueInterner` assigns each attribute value a
 dense int id the first time it is seen, frequencies and degrees live in
 ``array('I')`` columns, adjacency in int-sets, postings in sorted int
-arrays, and co-occurrence counts in symmetric per-vertex rows
+arrays keyed by id, and co-occurrence counts in symmetric per-vertex rows
 (``_cooc_rows[u][v]``) so a single dict indexes every partner of a
 vertex — the layout the vectorized MMMI recompute iterates
 queried-major.  Each value is hashed once per appearance (the intern lookup);
@@ -28,9 +28,10 @@ differential tests pin the two to identical statistics.
 
 Postings (per-value and keyword) are built *lazily*: :meth:`add` only
 logs the record's interned ids, and the inverted lists materialize on
-first read, catching up over the log.  Policies that never consult
-postings — GL reads frequencies and degrees only — therefore never pay
-for them, while posting-heavy workloads (conjunctive crawls, untracked
+first read, catching up over the log; a value's posting array is
+created by its first append.  Policies that never consult postings —
+GL reads frequencies and degrees only — therefore never allocate them,
+while posting-heavy workloads (conjunctive crawls, untracked
 PMI) pay exactly the eager cost, amortized.  Laziness is invisible in
 results: every accessor flushes before reading.
 """
@@ -100,8 +101,10 @@ class LocalDatabase:
         self._neighbor_sets: List[Set[int]] = []
         # Lazy inverted indexes: add() appends to the logs; the first
         # accessor that needs a posting list drains them (see
-        # _flush_postings / _flush_keywords).
-        self._posting_lists: List[array] = []
+        # _flush_postings / _flush_keywords).  A value's posting array
+        # is created on its first append, so a crawl that never reads
+        # postings allocates none.
+        self._posting_lists: Dict[int, array] = {}
         self._dirty_postings: Set[int] = set()
         self._posting_log: List[tuple] = []  # (record_id, interned ids)
         self._kw_postings: List[array] = []
@@ -137,7 +140,6 @@ class LocalDatabase:
         self._freq.frombytes(zeros)
         self._deg.frombytes(zeros)
         self._neighbor_sets.extend(set() for _ in range(grow))
-        self._posting_lists.extend(array("q") for _ in range(grow))
         if self.track_cooccurrence:
             self._cooc_rows.extend({} for _ in range(grow))
 
@@ -303,9 +305,7 @@ class LocalDatabase:
             return _EMPTY_VIEW
         if self._posting_log:
             self._flush_postings()
-        if vid >= len(self._posting_lists):
-            return _EMPTY_VIEW
-        plist = self._posting_lists[vid]
+        plist = self._posting_lists.get(vid)
         return frozenset(plist) if plist else _EMPTY_VIEW
 
     def keyword_frequency(self, value: str) -> int:
@@ -332,8 +332,10 @@ class LocalDatabase:
         dirty = self._dirty_postings
         for record_id, ids in self._posting_log:
             for vid in ids:
-                plist = postings[vid]
-                if plist and record_id < plist[-1]:
+                plist = postings.get(vid)
+                if plist is None:
+                    postings[vid] = plist = array("q")
+                elif record_id < plist[-1]:
                     dirty.add(vid)
                 plist.append(record_id)
         self._posting_log.clear()
@@ -363,9 +365,9 @@ class LocalDatabase:
         """
         if self._posting_log:
             self._flush_postings()
-        if vid >= len(self._posting_lists):
+        plist = self._posting_lists.get(vid)
+        if plist is None:
             return _EMPTY_POSTING
-        plist = self._posting_lists[vid]
         if vid in self._dirty_postings:
             self._posting_lists[vid] = plist = array("q", sorted(plist))
             self._dirty_postings.discard(vid)

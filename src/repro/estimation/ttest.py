@@ -5,6 +5,10 @@ concludes "with 90% confidence, the Amazon DVD product database contains
 less than 37,000 data records" — a one-sided upper confidence bound on
 the mean estimate.  Both the two-sided interval and the one-sided bound
 are provided.
+
+scipy, the package's heaviest import, loads inside the two callers of
+``stats.t.ppf``, so importing this module (as the CLI and
+:mod:`repro.experiments` do) stays cheap.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-from scipy import stats
 
 from repro.core.errors import EstimationError
 
@@ -47,6 +49,8 @@ def t_confidence_interval(
     mean = sum(values) / n
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     stderr = math.sqrt(variance / n)
+    from scipy import stats
+
     critical = float(stats.t.ppf(0.5 + confidence / 2, df=n - 1))
     margin = critical * stderr
     return ConfidenceInterval(mean, mean - margin, mean + margin, confidence, n)
@@ -61,5 +65,7 @@ def upper_confidence_bound(values: Sequence[float], confidence: float = 0.9) -> 
     mean = sum(values) / n
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     stderr = math.sqrt(variance / n)
+    from scipy import stats
+
     critical = float(stats.t.ppf(confidence, df=n - 1))
     return mean + critical * stderr

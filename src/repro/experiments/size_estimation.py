@@ -106,7 +106,7 @@ def run_size_estimation(
     for index, seeds in enumerate(seed_sets):
         server = setup.make_server()
         engine = CrawlerEngine(server, RandomSelector(), seed=rng_seed + index)
-        result = engine.crawl(seeds, max_rounds=interactions)
+        engine.crawl(seeds, max_rounds=interactions)
         samples.append(frozenset(engine.local_db.record_ids()))
     estimates = pairwise_estimates(samples)
     interval = t_confidence_interval(estimates, confidence=confidence)

@@ -81,7 +81,6 @@ def greedy_weighted_dominating_set(
     # Lazy heap of (-gain/weight, node); stale entries are re-scored on pop.
     heap = [(-gain(node) / max(fn(node), 1e-12), id(node), node) for node in graph.nodes]
     heapq.heapify(heap)
-    scores = {node: -entry for entry, _tie, node in heap}
 
     while undominated:
         neg_score, _tie, node = heapq.heappop(heap)

@@ -214,7 +214,7 @@ class DomainKnowledgeSelector(QuerySelector):
     # Selection
     # ------------------------------------------------------------------
     def next_query(self) -> Optional[AttributeValue]:
-        context = self._require_context()
+        self._require_context()
         emit = self._trace_emit
         if emit is not None:
             wall0 = time.perf_counter()

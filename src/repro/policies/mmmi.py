@@ -265,6 +265,12 @@ class MinMaxMutualInformationSelector(QuerySelector):
         ``heapq.nlargest`` replaces the full sort — keys are unique
         (final tie-break is the value itself), making the selection
         independent of candidate iteration order.
+
+        The batch is held as parallel lists (values, ids, negated
+        scores, tie-break degrees) and ranked by index: a key tuple
+        lives only while ``nlargest`` compares it, so no per-candidate
+        container survives long enough for the collector to promote it
+        into the old generation (DESIGN.md §6, item 8).
         """
         lookup = local.value_id
         queried_ids = {
@@ -273,59 +279,59 @@ class MinMaxMutualInformationSelector(QuerySelector):
             if vid is not None
         }
         candidates = self._candidates
+        values: List[AttributeValue] = []
+        ids: List[int] = []
+        unseen: List[AttributeValue] = []
         for value, vid in candidates.items():
             if vid is None:
                 vid = lookup(value)
-                if vid is not None:
-                    candidates[value] = vid
-        use_max = self.aggregate == "max"
-        weight = self.popularity_weight
-        tie_break = self.tie_break_degree
-        degree_id = local.degree_id
-        log = math.log
-        log1p = math.log1p
-        neg_inf = -math.inf
-        keyed = []
-        if use_max and vectorized.supports_mmmi(local):
-            pairs = [
-                (value, vid)
-                for value, vid in candidates.items()
-                if vid is not None
-            ]
-            ratios = vectorized.mmmi_best_ratios(
-                local, queried_ids, [vid for _value, vid in pairs]
-            )
-            for (value, vid), ratio in zip(pairs, ratios):
-                # log(max ratio) == max(log ratio): one scalar math.log
-                # per candidate keeps libm bit-identity with the scalar
-                # path.  Ratio 0 is the no-co-occurrence sentinel.
-                score = log(ratio) if ratio > 0.0 else 0.0
-                degree = degree_id(vid)
-                if weight:
-                    score -= weight * log1p(degree)
-                keyed.append((-score, degree if tie_break else 0, value))
-            for value, vid in candidates.items():
                 if vid is None:
-                    # Never seen in a harvested record: no neighbours, no
-                    # degree — fully independent, judged at score 0.
-                    keyed.append((0.0, 0, value))
+                    unseen.append(value)
+                    continue
+                candidates[value] = vid
+            values.append(value)
+            ids.append(vid)
+        use_max = self.aggregate == "max"
+        if use_max and vectorized.supports_mmmi(local):
+            # log(max ratio) == max(log ratio): one scalar math.log per
+            # candidate keeps libm bit-identity with the scalar path.
+            # Ratio 0 is the no-co-occurrence sentinel.
+            log = math.log
+            scores = [
+                log(ratio) if ratio > 0.0 else 0.0
+                for ratio in vectorized.mmmi_best_ratios(
+                    local, queried_ids, ids
+                )
+            ]
         else:
             dependency_score = local.dependency_score_ids
-            for value, vid in candidates.items():
-                if vid is None:
-                    keyed.append((0.0, 0, value))
-                    continue
+            neg_inf = -math.inf
+            scores = []
+            for vid in ids:
                 score = dependency_score(vid, queried_ids, use_max)
-                if score == neg_inf:
-                    score = 0.0  # independent; judged on popularity alone
-                degree = degree_id(vid)
-                if weight:
-                    score -= weight * log1p(degree)
-                keyed.append((-score, degree if tie_break else 0, value))
+                # -inf: independent; judged on popularity alone.
+                scores.append(0.0 if score == neg_inf else score)
+        degrees = list(map(local.degree_id, ids))
+        weight = self.popularity_weight
+        log1p = math.log1p
+        neg_scores = [
+            -(score - weight * log1p(degree))
+            for score, degree in zip(scores, degrees)
+        ]
+        ties = degrees if self.tie_break_degree else [0] * len(ids)
+        # Never seen in a harvested record: no neighbours, no degree —
+        # fully independent, judged at score 0.
+        values += unseen
+        neg_scores += [0.0] * len(unseen)
+        ties += [0] * len(unseen)
+
+        def key(i: int):
+            return (neg_scores[i], ties[i], values[i])
+
         take = self.batch_size
-        if len(keyed) <= take:
-            keyed.sort()
-            return [value for _neg_score, _degree, value in keyed]
-        top = heapq.nlargest(take, keyed)
-        top.reverse()  # ascending; consumed best-first from the tail
-        return [value for _neg_score, _degree, value in top]
+        if len(values) <= take:
+            order = sorted(range(len(values)), key=key)
+        else:
+            order = heapq.nlargest(take, range(len(values)), key=key)
+            order.reverse()  # ascending; consumed best-first from the tail
+        return [values[i] for i in order]

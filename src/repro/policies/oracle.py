@@ -18,7 +18,6 @@ from typing import List, Optional
 
 from repro.core.table import RelationalTable
 from repro.core.values import AttributeValue
-from repro.graph.dominating import greedy_record_cover
 from repro.policies.base import QuerySelector
 
 
@@ -41,6 +40,10 @@ class OracleSelector(QuerySelector):
         self, table: RelationalTable, page_size: int = 10, queriable_only: bool = True
     ) -> None:
         super().__init__()
+        # Deferred: repro.graph brings networkx, which no online policy
+        # needs, and every crawl imports this module via repro.policies.
+        from repro.graph.dominating import greedy_record_cover
+
         attributes = (
             set(table.schema.queriable) if queriable_only else set(table.schema.names)
         )

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings as hypothesis_settings
@@ -20,6 +23,7 @@ hypothesis_settings.register_profile("thorough", max_examples=300, deadline=None
 hypothesis_settings.register_profile("fast", deadline=None)
 hypothesis_settings.load_profile(os.environ.get("REPRO_TEST_PROFILE", "fast"))
 
+import repro
 from repro.core import Record, RelationalTable, Schema
 from repro.datasets import (
     IMDB_DT_ATTRIBUTES,
@@ -104,3 +108,21 @@ def make_record(record_id: int, **fields) -> Record:
         for key, value in fields.items()
     }
     return Record(record_id, cleaned)
+
+
+def modules_loaded_after(imports, watched) -> set:
+    """Which of the ``watched`` modules a fresh interpreter holds after
+    importing ``imports`` (import hygiene: what a process pays to load)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    code = "import sys\n" + "".join(f"import {m}\n" for m in imports) + (
+        f"print(' '.join(m for m in {tuple(watched)!r} if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())

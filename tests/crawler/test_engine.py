@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import AttributeValue, CrawlError, Query
+from repro.core import AttributeValue, CrawlError
 from repro.crawler import CrawlerEngine, normalize_seed, run_crawl
-from repro.policies import BreadthFirstSelector, GreedyLinkSelector
+from repro.policies import BreadthFirstSelector
 from repro.server import QueryInterface, SimulatedWebDatabase
 
 

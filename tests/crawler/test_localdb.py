@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AttributeValue
-from repro.crawler import LocalDatabase
+from repro.crawler import CrawlerEngine, LocalDatabase
+from repro.policies import GreedyLinkSelector
+from repro.server import SimulatedWebDatabase
 from tests.conftest import make_record
 
 
@@ -86,6 +88,32 @@ class TestStatistics:
         local = LocalDatabase()
         local.add(make_record(1, a="x", b="y"))
         assert local.values_of_attribute("a") == [AV("a", "x")]
+
+
+class TestLazyPostings:
+    def test_gl_crawl_allocates_no_postings_until_read(self, small_ebay):
+        """GL reads frequencies and degrees only, so its crawl creates no
+        posting arrays; the first posting read builds them in full."""
+        seed = next(
+            value
+            for value in small_ebay.distinct_values("seller")
+            if small_ebay.frequency(value) >= 3
+        )
+        engine = CrawlerEngine(
+            SimulatedWebDatabase(small_ebay, page_size=10),
+            GreedyLinkSelector(),
+            seed=3,
+        )
+        engine.crawl([seed], max_queries=40)
+        local = engine.local_db
+        assert len(local) > 0
+        assert local._posting_lists == {}
+        assert local.matching_ids(seed) == frozenset(
+            record.record_id
+            for record in local
+            if seed in record.attribute_values()
+        )
+        assert len(local._posting_lists) == local.num_distinct_values()
 
 
 class TestCooccurrence:

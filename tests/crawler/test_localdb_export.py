@@ -1,7 +1,5 @@
 """Tests for exporting a harvest as a table (re-crawl bootstrapping)."""
 
-import pytest
-
 from repro.crawler import CrawlerEngine
 from repro.domain import build_domain_table
 from repro.policies import BreadthFirstSelector, DomainKnowledgeSelector

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AttributeValue, DatasetError
+from repro.core import DatasetError
 from repro.datasets import (
     IMDB_DT_ATTRIBUTES,
     MovieUniverse,

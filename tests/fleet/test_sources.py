@@ -9,6 +9,7 @@ from repro.fleet import (
     plan_fleet,
     source_seeds,
 )
+from tests.conftest import modules_loaded_after
 
 
 class TestPlanFleet:
@@ -88,27 +89,4 @@ class TestBuildSource:
 def test_import_leaves_the_experiment_drivers_unloaded():
     """Seeding needs only the core's sample_seed_values: importing the
     fleet must not pull in repro.experiments (and scipy with it)."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    src = str(Path(repro.__file__).resolve().parents[1])
-    path = os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH", "")) if p
-    )
-    done = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, repro.fleet; "
-            "print('repro.experiments' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert not modules_loaded_after(("repro.fleet",), ("repro.experiments",))

@@ -1,11 +1,10 @@
 """Unit and property tests for attribute-value graph construction."""
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AttributeValue, Record
+from repro.core import AttributeValue
 from repro.graph import build_avg, build_avg_from_table, page_cost, record_clique
 from tests.conftest import make_record
 

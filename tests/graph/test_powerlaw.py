@@ -1,7 +1,5 @@
 """Unit tests for degree-distribution analysis and power-law fitting."""
 
-import math
-
 import networkx as nx
 import numpy as np
 import pytest

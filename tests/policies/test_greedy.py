@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core import AttributeValue
 from repro.crawler import CrawlerContext, CrawlerEngine, LocalDatabase, QueryOutcome
 from repro.core import Query

@@ -1,14 +1,16 @@
 """Unit tests for the Min-Max Mutual-Information selector."""
 
+import gc
 import math
 import random
 
 import pytest
 
-from repro.core import AttributeValue, CrawlError, Query
-from repro.crawler import CrawlerContext, LocalDatabase
+from repro.core import AttributeValue, CrawlError, Query, sample_seed_values
+from repro.crawler import CrawlerContext, CrawlerEngine, LocalDatabase
+from repro.datasets.registry import load_dataset
 from repro.policies import MinMaxMutualInformationSelector
-from repro.server import QueryInterface
+from repro.server import QueryInterface, SimulatedWebDatabase
 from tests.conftest import make_record
 
 
@@ -131,3 +133,48 @@ class TestSelection:
         assert selector.next_query() == AV("b", "free")
         selector.add_candidate(AV("b", "paired"))
         assert selector.next_query() == AV("b", "paired")
+
+
+def collector_passes() -> int:
+    """Collector passes of any generation run so far in this process."""
+    return sum(stats["collections"] for stats in gc.get_stats())
+
+
+class PassCountingSelector(MinMaxMutualInformationSelector):
+    """MMMI recording each batch recompute's size and collector passes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.recomputes = []  # (pending candidates, passes inside)
+
+    def _order_interned(self, local, context):
+        pending = len(self._candidates)
+        before = collector_passes()
+        ordered = super()._order_interned(local, context)
+        self.recomputes.append((pending, collector_passes() - before))
+        return ordered
+
+
+class TestRecomputeCollector:
+    def test_large_recompute_runs_at_most_one_collection(self):
+        """The recompute must not feed the collector's old generation.
+
+        Per-candidate containers alive across a recompute (thousands of
+        them at 4,844 candidates) trigger young passes that promote them
+        towards the old generation and its full passes.  With only the
+        ``batch_size`` heap entries alive, a recompute runs at most the
+        one pass the allocation counter was already due.
+        """
+        assert gc.isenabled()
+        table = load_dataset("dblp", 4000, 5)
+        seeds = sample_seed_values(table, 1, random.Random(5), min_frequency=2)
+        selector = PassCountingSelector()
+        engine = CrawlerEngine(
+            SimulatedWebDatabase(table, page_size=10), selector, seed=5
+        )
+        engine.crawl(seeds, target_coverage=0.9)
+        large = [
+            passes for pending, passes in selector.recomputes if pending >= 4000
+        ]
+        assert large, "the crawl never reached a 4,000-candidate recompute"
+        assert max(large) <= 1

@@ -1,9 +1,7 @@
 """Unit tests for the omniscient oracle selector."""
 
-import pytest
-
 from repro.crawler import CrawlerEngine
-from repro.policies import BreadthFirstSelector, GreedyLinkSelector, OracleSelector
+from repro.policies import BreadthFirstSelector, OracleSelector
 from repro.server import SimulatedWebDatabase
 
 

@@ -1,7 +1,5 @@
 """Tests for the practical crawler bundle (the paper's conclusion)."""
 
-import pytest
-
 from repro.policies import (
     DomainKnowledgeSelector,
     GreedyMmmiSelector,

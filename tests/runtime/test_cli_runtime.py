@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import io as stdio
 
-import pytest
-
 from repro.cli import main
 
 

@@ -130,7 +130,6 @@ class TestFullHtmlCrawl:
     def test_crawl_through_plain_html(self, books):
         """End-to-end: harvest everything through the wrapper only."""
         from repro.crawler import LocalDatabase, ResultExtractor
-        from repro.policies import BreadthFirstSelector
 
         server = SimulatedWebDatabase(books, page_size=2)
         extractor = ResultExtractor(server.interface)

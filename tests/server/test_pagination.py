@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PaginationError, Query, Record, Schema
-from repro.server import ResultPage, page_count, paginate
+from repro.server import page_count, paginate
 
 schema = Schema.of("title")
 QUERY = Query.equality("title", "x")

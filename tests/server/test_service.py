@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Query, Record, Schema
-from repro.server import ResultPage, paginate, parse_page, render_page
+from repro.server import paginate, parse_page, render_page
 
 schema = Schema.of("title", author={"multivalued": True})
 
@@ -81,7 +81,6 @@ class TestParse:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import RelationalTable
 from repro.server import SimulatedWebDatabase
 
 

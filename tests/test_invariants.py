@@ -6,9 +6,7 @@ cost identity, and determinism under fixed seeds.
 """
 
 import math
-import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

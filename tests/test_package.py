@@ -4,6 +4,7 @@ import pathlib
 import re
 
 import repro
+from tests.conftest import modules_loaded_after
 
 
 def test_version_matches_pyproject():
@@ -39,3 +40,24 @@ def test_all_subpackage_exports_resolve():
         for export in module.__all__:
             assert hasattr(module, export), f"{name}.{export} missing"
         assert module.__all__ == sorted(module.__all__), f"{name}.__all__ unsorted"
+
+
+
+#: The analysis stack: t-intervals (scipy) and the AVG analysis and the
+#: oracle's dominating-set plan (networkx).
+ANALYSIS_STACK = ("scipy", "networkx")
+
+
+def test_crawl_processes_leave_the_analysis_stack_unloaded():
+    """Crawling needs neither scipy nor networkx."""
+    crawl_modules = (
+        "repro.crawler.engine", "repro.runtime.crawler", "repro.fleet", "repro.net"
+    )
+    assert not modules_loaded_after(crawl_modules, ANALYSIS_STACK)
+
+
+def test_cli_and_harness_leave_scipy_unloaded():
+    """scipy loads only when a t-interval is computed."""
+    assert not modules_loaded_after(
+        ("repro.cli", "repro.experiments.harness"), ("scipy",)
+    )
