@@ -225,13 +225,14 @@ class InternedPriorityFrontier(Frontier):
 
     The invariant callers must keep (and the shipped greedy policies do
     keep, by refreshing every id an outcome touched): **every score
-    change is announced via refresh before the next pop**.  The pop-time
-    recheck backs the invariant: it drops dead duplicates and reinserts
-    any stale-low entry it uncovers at the heap head.  As an escape
-    hatch, ``full_rescore_every=N`` rescans the *entire* pending set on
-    every Nth flush (dirty ids first, in mark order, so the push order
-    is unchanged when the invariant holds); the differential tests run
-    incremental-vs-``full_rescore_every=1`` step-history identity.
+    change is announced via refresh before the next pop**.  A score that
+    grew without a refresh pops at the rank of its last push; rescoring
+    the head at pop time could not change which value pops (see
+    :meth:`pop`).  As an escape hatch, ``full_rescore_every=N`` rescans
+    the *entire* pending set on every Nth flush (dirty ids first, in
+    mark order, so the push order is unchanged when the invariant
+    holds); the differential tests run incremental-vs-
+    ``full_rescore_every=1`` step-history identity.
 
     Determinism: heap entries order by ``(-score, tick)`` and ticks are
     unique, so the third tuple element is never compared — swapping the
@@ -342,20 +343,15 @@ class InternedPriorityFrontier(Frontier):
             return None
         if self._dirty or self._full_rescore_every:
             self._flush()
+        # The head is returned without rescoring it: had its score grown
+        # unannounced, re-pushing it would still put it strictly below
+        # every other entry, so the same value would pop.
         pending = self._pending_ids
         heap = self._heap
         while True:
-            neg_score, _tie, vid = heapq.heappop(heap)
+            _neg_score, _tie, vid = heapq.heappop(heap)
             if vid not in pending:
                 continue  # out-of-date duplicate of an already-popped value
-            fresh = self._score_id(vid)
-            if fresh > -neg_score:
-                # Grew without a refresh (invariant breach — the recheck
-                # is the backstop): reinsert at the correct rank.
-                self._last_pushed[vid] = fresh
-                self._tick += 1
-                heapq.heappush(heap, (-fresh, self._tick, vid))
-                continue
             pending.discard(vid)
             self._last_pushed.pop(vid, None)
             self._pending -= 1
@@ -503,16 +499,11 @@ class PriorityFrontier(Frontier):
         heapq.heappush(self._heap, (-score, self._next_tick(), value))
 
     def _remove(self) -> AttributeValue:
+        # No rescoring of the head: see InternedPriorityFrontier.pop.
         while True:
-            neg_score, _tie, value = heapq.heappop(self._heap)
+            _neg_score, _tie, value = heapq.heappop(self._heap)
             if value not in self._pending_set:
                 continue  # out-of-date duplicate of an already-popped value
-            fresh = self._score_fn(value)
-            if fresh > -neg_score:
-                # Grew since this entry was pushed and nobody refreshed it;
-                # reinsert at the correct rank rather than returning early.
-                heapq.heappush(self._heap, (-fresh, self._next_tick(), value))
-                continue
             self._pending_set.discard(value)
             return value
 

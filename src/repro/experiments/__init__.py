@@ -1,81 +1,64 @@
-"""Experiment drivers regenerating every table and figure of the paper."""
+"""Experiment drivers regenerating every table and figure of the paper.
 
-from repro.experiments.ablations import (
-    run_abortion_ablation,
-    run_greedy_signal_ablation,
-    run_mmmi_ablation,
-    run_smoothing_ablation,
-)
-from repro.experiments.amazon import AmazonSetup, build_amazon_setup
-from repro.experiments.figure2 import Figure2Result, run_figure2
-from repro.experiments.figure3 import (
-    COVERAGE_LEVELS,
-    Figure3Panel,
-    Figure3Result,
-    run_figure3,
-)
-from repro.experiments.figure4 import Figure4Result, run_figure4
-from repro.experiments.figure5 import Figure5Result, run_figure5
-from repro.experiments.figure6 import Figure6Result, run_figure6
-from repro.experiments.keyword import (
-    KeywordInterfaceResult,
-    run_keyword_interface,
-)
-from repro.experiments.harness import (
-    PolicyRun,
-    group_policy_runs,
-    run_policy,
-    run_policy_suite,
-    sample_seed_values,
-)
-from repro.experiments.report import render_series, render_table
-from repro.experiments.size_estimation import (
-    SizeEstimationResult,
-    run_size_estimation,
-)
-from repro.experiments.stability import (
-    PolicySpread,
-    StabilityResult,
-    run_stability,
-)
-from repro.experiments.table1 import Table1Result, run_table1
-from repro.experiments.table2 import Table2Result, run_table2
+Drivers are imported lazily (PEP 562): a crawl process that needs only
+:func:`~repro.experiments.harness.sample_seed_values` does not load every
+driver, nor networkx through :mod:`repro.experiments.figure2`.
+"""
 
-__all__ = [
-    "AmazonSetup",
-    "COVERAGE_LEVELS",
-    "Figure2Result",
-    "Figure3Panel",
-    "Figure3Result",
-    "Figure4Result",
-    "Figure5Result",
-    "Figure6Result",
-    "KeywordInterfaceResult",
-    "PolicyRun",
-    "PolicySpread",
-    "SizeEstimationResult",
-    "StabilityResult",
-    "Table1Result",
-    "Table2Result",
-    "build_amazon_setup",
-    "group_policy_runs",
-    "render_series",
-    "render_table",
-    "run_abortion_ablation",
-    "run_figure2",
-    "run_figure3",
-    "run_figure4",
-    "run_figure5",
-    "run_figure6",
-    "run_greedy_signal_ablation",
-    "run_keyword_interface",
-    "run_mmmi_ablation",
-    "run_policy",
-    "run_policy_suite",
-    "run_size_estimation",
-    "run_smoothing_ablation",
-    "run_stability",
-    "run_table1",
-    "run_table2",
-    "sample_seed_values",
-]
+from __future__ import annotations
+
+_EXPORTS = {
+    "run_abortion_ablation": "repro.experiments.ablations",
+    "run_greedy_signal_ablation": "repro.experiments.ablations",
+    "run_mmmi_ablation": "repro.experiments.ablations",
+    "run_smoothing_ablation": "repro.experiments.ablations",
+    "AmazonSetup": "repro.experiments.amazon",
+    "build_amazon_setup": "repro.experiments.amazon",
+    "Figure2Result": "repro.experiments.figure2",
+    "run_figure2": "repro.experiments.figure2",
+    "COVERAGE_LEVELS": "repro.experiments.figure3",
+    "Figure3Panel": "repro.experiments.figure3",
+    "Figure3Result": "repro.experiments.figure3",
+    "run_figure3": "repro.experiments.figure3",
+    "Figure4Result": "repro.experiments.figure4",
+    "run_figure4": "repro.experiments.figure4",
+    "Figure5Result": "repro.experiments.figure5",
+    "run_figure5": "repro.experiments.figure5",
+    "Figure6Result": "repro.experiments.figure6",
+    "run_figure6": "repro.experiments.figure6",
+    "PolicyRun": "repro.experiments.harness",
+    "group_policy_runs": "repro.experiments.harness",
+    "run_policy": "repro.experiments.harness",
+    "run_policy_suite": "repro.experiments.harness",
+    "sample_seed_values": "repro.experiments.harness",
+    "KeywordInterfaceResult": "repro.experiments.keyword",
+    "run_keyword_interface": "repro.experiments.keyword",
+    "render_series": "repro.experiments.report",
+    "render_table": "repro.experiments.report",
+    "SizeEstimationResult": "repro.experiments.size_estimation",
+    "run_size_estimation": "repro.experiments.size_estimation",
+    "PolicySpread": "repro.experiments.stability",
+    "StabilityResult": "repro.experiments.stability",
+    "run_stability": "repro.experiments.stability",
+    "Table1Result": "repro.experiments.table1",
+    "run_table1": "repro.experiments.table1",
+    "Table2Result": "repro.experiments.table2",
+    "run_table2": "repro.experiments.table2",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(
+            f"module 'repro.experiments' has no attribute {name!r}"
+        )
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
+
+def __dir__():
+    return __all__

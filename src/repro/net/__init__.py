@@ -13,9 +13,10 @@ network boundary.  Three layers:
 - :mod:`repro.net.client` — :class:`RemoteWebDatabase`, the crawler's
   HTTP client: it implements the same surface the crawler engine uses
   on the in-process source (``interface``/``page_size``/``submit``/
-  ``rounds``), with connection reuse, bounded-concurrency page
-  pipelining (page *n+1* is fetched while page *n* is being
-  extracted), retry/backoff honoring ``Retry-After``, and per-request
+  ``rounds``) on the caller's thread, with keep-alive connection
+  reuse, page pipelining (page *n+1* is requested once page *n* is
+  consumed and read when it is needed), retry/backoff honoring
+  ``Retry-After``, typed errors for malformed answers, and per-request
   latency recorded into :mod:`repro.metrics` histograms — so
   :class:`~repro.runtime.crawler.RuntimeCrawler`, the event bus, trace
   spans, and checkpoints all work unchanged over the network;

@@ -6,26 +6,30 @@ reads off :class:`~repro.server.webdb.SimulatedWebDatabase` —
 ``truth_size()`` — so :class:`~repro.crawler.engine.CrawlerEngine`,
 :class:`~repro.runtime.crawler.RuntimeCrawler`, the event bus, trace
 spans, and checkpoints all work unchanged when the source lives on the
-other side of a socket.
+other side of a socket.  Like ``SimulatedWebDatabase`` it is used from
+one thread, which owns its sockets: there is no event loop and no
+background thread.
 
 Design points:
 
-- **Connection reuse.**  A small pool of keep-alive HTTP/1.1
-  connections, owned by a private event loop on a background thread;
-  the crawler's synchronous ``submit()`` bridges in with
-  ``run_coroutine_threadsafe``.
-- **Page pipelining.**  Result extraction and page fetching overlap:
-  when page *n* of a query is delivered, the fetches of pages
-  *n+1 … n+depth* are started immediately, so by the time the prober
-  has extracted page *n* the next page is usually already on the way
-  (or arrived).  Speculative pages the crawl never consumes (the query
-  was aborted, or a stop criterion fired) are counted as
-  ``prefetch_wasted`` and — deliberately — **not** charged to the
-  client's communication log: the log mirrors the paper's cost model
-  of pages *consumed*, which keeps a remote crawl's round count
-  byte-identical to the in-process lane.  The server's own counter
-  does include speculative fetches; the delta is the price of
-  pipelining and is observable at ``/metrics``.
+- **Connection reuse.**  Blocking keep-alive HTTP/1.1 connections
+  (``TCP_NODELAY``) on a free list, one per request in flight, so at
+  most ``pipeline_depth + 1`` are open.  ``timeout`` bounds each socket
+  operation (connect, send, one read), not a whole exchange.
+- **Page pipelining.**  Once page *n* of a query is consumed, the
+  requests for pages *n+1 … n+depth* are written on other pooled
+  connections; the server computes them while the prober extracts page
+  *n*, and each answer is read when ``submit()`` consumes its page (a
+  failed first attempt is retried then, continuing its attempt count).
+  Speculative pages the crawl never consumes (the query was aborted,
+  or a stop criterion fired) are counted as ``prefetch_wasted`` and —
+  deliberately — **not** charged to the client's communication log;
+  their answers are read and dropped before their connections are
+  reused.  The log mirrors the paper's cost model of pages *consumed*,
+  which keeps a remote crawl's round count byte-identical to the
+  in-process lane.  The server's own counter does include speculative
+  fetches; the delta is the price of pipelining and is observable at
+  ``/metrics``.
 - **Revalidation.**  Every 200 result page carries a strong ``ETag``;
   the client remembers the last ``etag_cache_size`` (target → etag,
   body) pairs and revalidates repeats with ``If-None-Match``.  A 304
@@ -35,24 +39,27 @@ Design points:
   from a 200 and must not).
 - **Politeness.**  429/503 responses are honored by sleeping out the
   server's ``Retry-After`` (the JSON body's float, falling back to the
-  integer header) before retrying; network failures back off
-  exponentially.  Retries exhausted raise
+  integer header) before retrying; network failures, timeouts included,
+  back off exponentially.  Retries exhausted raise
   :class:`~repro.server.flaky.PermanentServerFailure`, which the
-  prober already turns into a failed-query outcome.
+  prober already turns into a failed-query outcome.  An answer whose
+  framing or page body does not parse raises
+  :class:`~repro.net.protocol.ProtocolError` at once, uncharged.
 - **Telemetry.**  Per-request latency lands in a
-  :mod:`repro.metrics` histogram; the per-round wall time of each
-  *consumed* page is recorded on the communication log
-  (``record_wall_times``), giving the end-of-run summary per-query
-  latency attribution.
+  :mod:`repro.metrics` histogram, from the write of a request to the
+  read of its answer (for a prefetched page, its consumption); the
+  per-round wall time of each *consumed* page is recorded on the
+  communication log (``record_wall_times``), giving the end-of-run
+  summary per-query latency attribution.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
+import json
+import socket
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from urllib.parse import urlencode, urlsplit
 
 from repro.core.errors import PaginationError, ReproError, UnsupportedQueryError
@@ -61,6 +68,7 @@ from repro.core.values import AttributeValue
 from repro.metrics import MetricsRegistry
 from repro.net.protocol import (
     FORMATS,
+    ProtocolError,
     SourceDescriptor,
     parse_error,
     parse_page_json,
@@ -72,63 +80,77 @@ from repro.server.network import CommunicationLog
 from repro.server.pagination import ResultPage
 from repro.server.service import parse_page
 
+#: Longest status or header line accepted from the service.
+MAX_LINE = 65536
+
+_Response = Tuple[int, Dict[str, str], bytes]
+
 
 class RemoteSourceError(ReproError):
     """The service answered with something the client cannot use."""
 
 
 class _Connection:
-    """One keep-alive HTTP connection (reader/writer pair)."""
+    """One blocking keep-alive HTTP connection."""
 
-    __slots__ = ("reader", "writer", "requests")
+    __slots__ = ("sock", "reader", "sent_at")
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.requests = 0
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.sock = socket.create_connection((host, port), timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = self.sock.makefile("rb")
+        #: When the request whose answer is unread was written.
+        self.sent_at = 0.0
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
 
 
-class _Pool:
-    """A bounded pool of keep-alive connections to one host."""
+#: A written request: the connection its answer arrives on, or the
+#: error that stopped the write (raised when the answer is read).
+_Sent = Union[_Connection, OSError]
 
-    def __init__(self, host: str, port: int, limit: int) -> None:
-        self.host = host
-        self.port = port
-        self._free: List[_Connection] = []
-        self._semaphore = asyncio.Semaphore(limit)
-        self.opened = 0
 
-    async def acquire(self) -> _Connection:
-        await self._semaphore.acquire()
-        if self._free:
-            return self._free.pop()
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        self.opened += 1
-        return _Connection(reader, writer)
+class _PageRequest(NamedTuple):
+    """A page request written ahead of its read, and what retries need."""
 
-    def release(self, connection: _Connection, reusable: bool) -> None:
-        if reusable:
-            self._free.append(connection)
-        else:
-            try:
-                connection.writer.close()
-            except RuntimeError:
-                # A prefetch abandoned at shutdown may be collected
-                # after the client loop closed; the socket dies with
-                # the loop, there is nothing left to close.
-                pass
-        self._semaphore.release()
+    target: str
+    conditional: List[Tuple[str, str]]
+    cached: Optional[Tuple[str, bytes]]
+    trace_parent: Optional[str]
+    sent: _Sent
 
-    async def close(self) -> None:
-        for connection in self._free:
-            connection.writer.close()
-            try:
-                await connection.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._free.clear()
+
+def _read_line(reader: BinaryIO) -> bytes:
+    line = reader.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise ProtocolError(f"response line longer than {MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise ConnectionResetError("server closed the connection")
+    return line
+
+
+def _read_response(reader: BinaryIO) -> _Response:
+    """Read one HTTP/1.1 answer; malformed framing is a ProtocolError."""
+    status_line = _read_line(reader)
+    parts = status_line.split(None, 2)
+    status = int(parts[1]) if len(parts) > 1 and parts[1].isdigit() else 0
+    if not 100 <= status <= 599 or not parts[0].startswith(b"HTTP/"):
+        raise ProtocolError(f"malformed status line {status_line[:80]!r}")
+    headers: Dict[str, str] = {}
+    while (line := _read_line(reader)) not in (b"\r\n", b"\n"):
+        name, sep, value = line.decode("latin-1").partition(":")
+        if not sep or not name.strip():
+            raise ProtocolError(f"malformed header line {line[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length", "0")
+    if not (length.isascii() and length.isdigit()):
+        raise ProtocolError(f"malformed Content-Length {length!r}")
+    body = reader.read(int(length))
+    if len(body) != int(length):
+        raise ConnectionResetError("server closed the connection mid-body")
+    return status, headers, body
 
 
 class RemoteWebDatabase:
@@ -146,12 +168,15 @@ class RemoteWebDatabase:
         parse) or ``"xml"`` (the paper-faithful Amazon-style envelope).
     pipeline_depth:
         How many pages beyond the one being extracted may be in flight
-        per query (0 disables pipelining).  The connection pool holds
-        ``pipeline_depth + 1`` connections.
+        per query (0 disables pipelining).  At most
+        ``pipeline_depth + 1`` connections are open at once.
     max_retries:
         Transient-failure budget per page request (429/503, connection
-        errors); exhausted raises
+        errors, timeouts); exhausted raises
         :class:`~repro.server.flaky.PermanentServerFailure`.
+    timeout:
+        Seconds allowed for each socket operation: a connect, a send,
+        or one read of the answer.
     registry:
         Optional :class:`~repro.metrics.MetricsRegistry` receiving
         request-latency histograms and transport counters.
@@ -199,6 +224,8 @@ class RemoteWebDatabase:
                 f"base_url must be http://host[:port], got {base_url!r}"
             )
         self.base_url = base_url.rstrip("/")
+        self._host = split.hostname
+        self._port = split.port or 80
         self.format = format
         self.pipeline_depth = max(0, pipeline_depth)
         self.max_retries = max_retries
@@ -208,9 +235,6 @@ class RemoteWebDatabase:
         self.backoff_cap = backoff_cap
         RemoteWebDatabase._instances += 1
         self.client_id = client_id or f"repro-client-{RemoteWebDatabase._instances}"
-        #: Read only on the crawler thread (at fetch-scheduling time),
-        #: which is the same thread that feeds the event bus — so the
-        #: context's span bookkeeping needs no lock.
         self._trace_context = trace_context
         self._trace_id = getattr(trace_context, "trace_id", None)
         self.log = CommunicationLog(
@@ -248,28 +272,25 @@ class RemoteWebDatabase:
             self._latency = self._responses = None
             self._retries = self._prefetch = None
             self._revalidated = None
-        #: target → (etag, body); touched only on the client loop
-        #: thread, so no lock is needed.
+        #: target → (etag, body), least recently used first.
         self.etag_cache_size = max(0, etag_cache_size)
         self._etags: "OrderedDict[str, Tuple[str, bytes]]" = OrderedDict()
-        # Private event loop on a daemon thread; all sockets live there.
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-net-client", daemon=True
-        )
-        self._thread.start()
-        self._pool = self._call(
-            self._make_pool(split.hostname, split.port or 80)
-        )
-        #: (query, page_number) → concurrent.futures.Future for pages
-        #: speculatively requested but not yet consumed.
-        self._prefetched: Dict[Tuple[AnyQuery, int], object] = {}
+        #: Idle keep-alive connections, most recently used last.
+        self._idle: List[_Connection] = []
+        self._opened = 0
+        #: (query, page_number) → page requests written ahead of
+        #: consumption, answers unread.
+        self._prefetched: Dict[Tuple[AnyQuery, int], _PageRequest] = {}
         self._closed = False
         self._truth_size: Optional[int] = None
         # Fetch the descriptor eagerly: submit() needs the interface
         # for local validation and the engine reads page_size at
         # construction time.
-        descriptor = self._fetch_descriptor(source)
+        try:
+            descriptor = self._fetch_descriptor(source)
+        except BaseException:
+            self.close()
+            raise
         self.descriptor = descriptor
         self.name = descriptor.name
         self.interface = descriptor.build_interface()
@@ -277,111 +298,92 @@ class RemoteWebDatabase:
         self.report_total = descriptor.report_total
 
     # ------------------------------------------------------------------
-    # Loop plumbing
+    # HTTP core
     # ------------------------------------------------------------------
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    async def _make_pool(self, host: str, port: int) -> _Pool:
-        return _Pool(host, port, self.pipeline_depth + 1)
-
-    def _call(self, coroutine, timeout: Optional[float] = None):
-        """Run a coroutine on the client loop and wait for its result."""
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(timeout=timeout)
-
-    # ------------------------------------------------------------------
-    # HTTP core (runs on the client loop)
-    # ------------------------------------------------------------------
-    async def _exchange(
+    def _send(
         self,
         target: str,
-        extra_headers: Sequence[Tuple[str, str]] = (),
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        """One request/response on a pooled connection."""
-        connection = await self._pool.acquire()
-        fresh = connection.requests == 0
-        try:
-            lines = [
-                f"GET {target} HTTP/1.1",
-                f"Host: {self._pool.host}:{self._pool.port}",
-                f"X-Client-Id: {self.client_id}",
-                "Connection: keep-alive",
-            ]
-            for name, value in extra_headers:
-                lines.append(f"{name}: {value}")
-            request = "\r\n".join(lines) + "\r\n\r\n"
-            connection.writer.write(request.encode("latin-1"))
-            await connection.writer.drain()
-            status_line = await connection.reader.readline()
-            if not status_line:
-                raise ConnectionResetError("server closed the connection")
-            parts = status_line.decode("latin-1").split(None, 2)
-            status = int(parts[1])
-            headers: Dict[str, str] = {}
-            while True:
-                line = await connection.reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _sep, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0"))
-            body = (
-                await connection.reader.readexactly(length) if length else b""
+        extra_headers: Sequence[Tuple[str, str]],
+        trace_parent: Optional[str],
+        attempt: int,
+    ) -> _Sent:
+        """Write one request on a pooled connection; never raises OSError."""
+        lines = [
+            f"GET {target} HTTP/1.1",
+            f"Host: {self._host}:{self._port}",
+            f"X-Client-Id: {self.client_id}",
+            "Connection: keep-alive",
+        ]
+        lines.extend(f"{name}: {value}" for name, value in extra_headers)
+        if trace_parent is not None:
+            # Rebuilt per attempt: the attempt number keeps retried
+            # requests distinct server-side (roots …/srv, …/srv1).
+            lines.append(
+                f"X-Repro-Trace: {self._trace_id};{trace_parent};{attempt}"
             )
-            connection.requests += 1
-            reusable = headers.get("connection", "keep-alive").lower() != "close"
-            self._pool.release(connection, reusable)
-            return status, headers, body
-        except BaseException:
-            self._pool.release(connection, reusable=False)
-            if fresh:
-                raise
-            # A dead reused connection is the normal keep-alive race;
-            # surface it as retryable.
-            raise ConnectionResetError("stale pooled connection") from None
+        request = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        started = time.perf_counter()
+        connection = self._idle.pop() if self._idle else None
+        try:
+            if connection is None:
+                connection = _Connection(self._host, self._port, self.timeout)
+                self._opened += 1
+            connection.sent_at = started
+            connection.sock.sendall(request)
+        except OSError as error:
+            if connection is not None:
+                connection.close()
+            return error
+        return connection
 
-    async def _fetch(
+    def _receive(self, sent: _Sent) -> _Response:
+        """Read the answer to a written request and free its connection."""
+        if isinstance(sent, OSError):
+            raise sent
+        try:
+            status, headers, body = _read_response(sent.reader)
+        except BaseException:
+            sent.close()
+            raise
+        if headers.get("connection", "keep-alive").lower() == "close":
+            sent.close()
+        else:
+            self._idle.append(sent)
+        return status, headers, body
+
+    def _fetch(
         self,
         target: str,
         route: str,
         extra_headers: Sequence[Tuple[str, str]] = (),
         trace_parent: Optional[str] = None,
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        """``_exchange`` with retry/backoff and Retry-After politeness."""
+        sent: Optional[_Sent] = None,
+    ) -> _Response:
+        """One request with retry/backoff and Retry-After politeness.
+
+        ``sent`` is a first attempt written ahead (a prefetch); retries
+        after it continue its attempt count.
+        """
         attempts = self.max_retries + 1
         last_error: Optional[BaseException] = None
         for attempt in range(attempts):
-            headers_out = list(extra_headers)
-            if trace_parent is not None:
-                # Rebuilt per attempt: the attempt number keeps retried
-                # requests distinct server-side (roots …/srv, …/srv1).
-                headers_out.append(
-                    (
-                        "X-Repro-Trace",
-                        f"{self._trace_id};{trace_parent};{attempt}",
-                    )
-                )
-            started = time.perf_counter()
+            if sent is None:
+                sent = self._send(target, extra_headers, trace_parent, attempt)
+            written, sent = sent, None
             try:
-                status, headers, body = await asyncio.wait_for(
-                    self._exchange(target, headers_out),
-                    timeout=self.timeout,
-                )
-            except (ConnectionError, OSError, asyncio.TimeoutError, TimeoutError, asyncio.IncompleteReadError) as error:
+                status, headers, body = self._receive(written)
+            except OSError as error:
                 last_error = error
                 if self._retries is not None:
                     self._retries.inc_key(("network",))
                 if attempt + 1 < attempts:
-                    delay = min(
-                        self.backoff_base * (2.0 ** attempt), self.backoff_cap
+                    time.sleep(
+                        min(self.backoff_base * (2.0 ** attempt), self.backoff_cap)
                     )
-                    await asyncio.sleep(delay)
                 continue
             if self._latency is not None:
                 self._latency.observe_key(
-                    (route,), time.perf_counter() - started
+                    (route,), time.perf_counter() - written.sent_at
                 )
                 self._responses.inc_key((str(status),))
             if status in (429, 503):
@@ -391,7 +393,7 @@ class RemoteWebDatabase:
                 if self._retries is not None:
                     self._retries.inc_key(("rate-limited",))
                 if attempt + 1 < attempts:
-                    await asyncio.sleep(self._retry_after(headers, body))
+                    time.sleep(self._retry_after(headers, body))
                 continue
             return status, headers, body
         raise PermanentServerFailure(
@@ -402,9 +404,7 @@ class RemoteWebDatabase:
         """The politeness delay: the body's float, else the header."""
         delay: Optional[float] = None
         try:
-            import json as _json
-
-            payload = _json.loads(body.decode("utf-8"))
+            payload = json.loads(body.decode("utf-8"))
             if isinstance(payload, dict) and "retryAfter" in payload:
                 delay = float(payload["retryAfter"])
         except (ValueError, UnicodeDecodeError):
@@ -420,14 +420,12 @@ class RemoteWebDatabase:
     # Descriptor / truth routes
     # ------------------------------------------------------------------
     def _get_json(self, path: str, route: str) -> dict:
-        import json as _json
-
-        status, _headers, body = self._call(self._fetch(path, route))
+        status, _headers, body = self._fetch(path, route)
         if status != 200:
             code, message = parse_error(body)
             raise RemoteSourceError(f"GET {path} → {status} {code}: {message}")
         try:
-            return _json.loads(body.decode("utf-8"))
+            return json.loads(body.decode("utf-8"))
         except ValueError as error:
             raise RemoteSourceError(
                 f"GET {path}: invalid JSON body ({error})"
@@ -507,16 +505,15 @@ class RemoteWebDatabase:
             raise RemoteSourceError("client is closed")
         self.interface.validate(query)
         started = time.perf_counter()
-        key = (query, page_number)
-        future = self._prefetched.pop(key, None)
-        if future is not None:
+        request = self._prefetched.pop((query, page_number), None)
+        if request is not None:
             if self._prefetch is not None:
                 self._prefetch.inc_key(("hit",))
         else:
             self._discard_prefetches()
-            future = self._schedule_fetch(query, page_number)
+            request = self._request_page(query, page_number)
         try:
-            page = future.result(timeout=self.timeout * (self.max_retries + 2))
+            page = self._read_page(request)
         except PaginationError:
             # The in-process lane charges the round before raising (the
             # crawler had to ask to find out); mirror it exactly.
@@ -545,73 +542,70 @@ class RemoteWebDatabase:
         return self.log.rounds
 
     # ------------------------------------------------------------------
-    # Pipelining internals
+    # Page requests and pipelining
     # ------------------------------------------------------------------
-    def _schedule_fetch(self, query: AnyQuery, page_number: int):
-        # Runs on the crawler thread, before the coroutine is shipped
-        # to the client loop: the trace context's "current query" is
-        # only coherent here (QueryIssued fires on this thread, before
-        # submit()), so the span id is resolved now and captured.
-        trace_parent = None
-        if self._trace_context is not None:
-            trace_parent = self._trace_context.fetch_parent(page_number)
-        return asyncio.run_coroutine_threadsafe(
-            self._fetch_page(query, page_number, trace_parent), self._loop
-        )
-
-    def _fetch_page(
-        self,
-        query: AnyQuery,
-        page_number: int,
-        trace_parent: Optional[str] = None,
-    ):
+    def _request_page(self, query: AnyQuery, page_number: int) -> _PageRequest:
+        """Write the first attempt of one page request."""
         params = encode_query_params(query) + [
             ("page", str(page_number)),
             ("format", self.format),
         ]
         target = f"/sources/{self.name}/query?{urlencode(params)}"
+        cached = self._etags.get(target) if self.etag_cache_size else None
+        conditional = (
+            [("If-None-Match", cached[0])] if cached is not None else []
+        )
+        # The trace context's "current query" is this page's query:
+        # QueryIssued fired before submit(), and a prefetch is written
+        # before submit() returns the page that precedes it.
+        trace_parent = None
+        if self._trace_context is not None:
+            trace_parent = self._trace_context.fetch_parent(page_number)
+        sent = self._send(target, conditional, trace_parent, 0)
+        return _PageRequest(target, conditional, cached, trace_parent, sent)
 
-        async def fetch() -> ResultPage:
-            cached = self._etags.get(target) if self.etag_cache_size else None
-            conditional = (
-                [("If-None-Match", cached[0])] if cached is not None else []
-            )
-            status, headers, body = await self._fetch(
-                target, "query", conditional, trace_parent=trace_parent
-            )
-            if status == 304 and cached is not None:
-                # Revalidated: the cached body is byte-identical to
-                # what a 200 would have carried.  submit() charges the
-                # round on consumption either way.
+    def _read_page(self, request: _PageRequest) -> ResultPage:
+        """Read (retrying as needed) and decode one requested page."""
+        target, cached = request.target, request.cached
+        status, headers, body = self._fetch(
+            target,
+            "query",
+            request.conditional,
+            request.trace_parent,
+            sent=request.sent,
+        )
+        if status == 304 and cached is not None:
+            # Revalidated: the cached body is byte-identical to what a
+            # 200 would have carried.  submit() charges the round on
+            # consumption either way.
+            self._etags.move_to_end(target)
+            if self._revalidated is not None:
+                self._revalidated.inc_key(("reused",))
+            body = cached[1]
+            status = 200
+        elif status == 200 and self.etag_cache_size:
+            etag = headers.get("etag")
+            if etag:
+                self._etags[target] = (etag, body)
                 self._etags.move_to_end(target)
+                while len(self._etags) > self.etag_cache_size:
+                    self._etags.popitem(last=False)
                 if self._revalidated is not None:
-                    self._revalidated.inc_key(("reused",))
-                body = cached[1]
-                status = 200
-            elif status == 200 and self.etag_cache_size:
-                etag = headers.get("etag")
-                if etag:
-                    self._etags[target] = (etag, body)
-                    self._etags.move_to_end(target)
-                    while len(self._etags) > self.etag_cache_size:
-                        self._etags.popitem(last=False)
-                    if self._revalidated is not None:
-                        self._revalidated.inc_key(("stored",))
-            if status == 200:
+                    self._revalidated.inc_key(("stored",))
+        if status == 200:
+            try:
                 text = body.decode("utf-8")
                 if self.format == "xml":
                     return parse_page(text)
                 return parse_page_json(text)
-            code, message = parse_error(body)
-            if code == "unsupported-query":
-                raise UnsupportedQueryError(message)
-            if code == "page-out-of-range":
-                raise PaginationError(message)
-            raise RemoteSourceError(
-                f"GET {target} → {status} {code}: {message}"
-            )
-
-        return fetch()
+            except (ValueError, SyntaxError) as error:  # bad UTF-8 or XML
+                raise ProtocolError(f"GET {target}: unreadable page") from error
+        code, message = parse_error(body)
+        if code == "unsupported-query":
+            raise UnsupportedQueryError(message)
+        if code == "page-out-of-range":
+            raise PaginationError(message)
+        raise RemoteSourceError(f"GET {target} → {status} {code}: {message}")
 
     def _prefetch_ahead(
         self, query: AnyQuery, page_number: int, num_pages: int
@@ -622,15 +616,21 @@ class RemoteWebDatabase:
             if key not in self._prefetched:
                 if self._prefetch is not None:
                     self._prefetch.inc_key(("issued",))
-                self._prefetched[key] = self._schedule_fetch(query, upcoming)
+                self._prefetched[key] = self._request_page(query, upcoming)
 
     def _discard_prefetches(self) -> None:
-        """Drop speculative pages the crawl will never consume."""
-        for future in self._prefetched.values():
+        """Drop speculative pages the crawl will never consume.
+
+        Each answer is read and dropped, so the server has finished
+        with the request before its connection is reused.
+        """
+        for request in self._prefetched.values():
             if self._prefetch is not None:
                 self._prefetch.inc_key(("wasted",))
-            # Swallow late failures so discarded futures never warn.
-            future.add_done_callback(lambda f: f.exception())
+            try:
+                self._receive(request.sent)
+            except (OSError, ReproError):
+                pass  # the connection is already dropped
         self._prefetched.clear()
 
     # ------------------------------------------------------------------
@@ -647,28 +647,17 @@ class RemoteWebDatabase:
     # Shutdown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Discard in-flight work, close sockets, stop the loop thread."""
+        """Settle in-flight prefetches and close every connection."""
         if self._closed:
             return
         self._closed = True
         self._discard_prefetches()
-        try:
-            self._call(self._pool.close(), timeout=5.0)
-        except Exception:  # noqa: BLE001 - closing must not raise
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-        self._loop.close()
+        for connection in self._idle:
+            connection.close()
+        self._idle.clear()
 
     def __enter__(self) -> "RemoteWebDatabase":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            if not self._closed and self._thread.is_alive():
-                self._loop.call_soon_threadsafe(self._loop.stop)
-        except Exception:  # noqa: BLE001
-            pass

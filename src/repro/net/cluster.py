@@ -867,6 +867,7 @@ class SourceCluster:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((self.host, self.port))
         sock.listen(128)
+        sock.setblocking(True)
         self.host, self.port = sock.getsockname()[:2]
         self._listen_sock = sock
         ready = threading.Barrier(self.workers + 1)
@@ -903,7 +904,6 @@ class SourceCluster:
     def _accept_loop(self) -> None:
         index = 0
         assert self._listen_sock is not None
-        self._listen_sock.setblocking(True)
         while True:
             try:
                 client_sock, _addr = self._listen_sock.accept()
@@ -919,6 +919,12 @@ class SourceCluster:
         assert self._service is not None
         served = sum(server.requests_served for server in self._servers)
         if self._listen_sock is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does.
+            try:
+                self._listen_sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._listen_sock.close()
         if self._acceptor is not None:
             self._acceptor.join(timeout=CONTROL_TIMEOUT)

@@ -45,6 +45,7 @@ from repro.core.errors import ReproError
 from repro.core.query import AnyQuery, ConjunctiveQuery, Query
 from repro.core.values import AttributeValue
 from repro.runtime.serialize import (
+    SerializationError,
     decode_query,
     decode_record,
     encode_query,
@@ -149,17 +150,22 @@ def page_from_json(payload: dict) -> ResultPage:
         raise ProtocolError(
             f"unexpected page schema {payload.get('schema')!r}"
         )
-    return ResultPage(
-        query=decode_query(payload["query"]),
-        page_number=int(payload["page"]),
-        records=tuple(decode_record(r) for r in payload["records"]),
-        total_matches=(
-            int(payload["total"]) if payload.get("total") is not None else None
-        ),
-        accessible_matches=int(payload["accessible"]),
-        num_pages=int(payload["pages"]),
-        page_size=int(payload.get("pageSize", 0)),
-    )
+    try:
+        return ResultPage(
+            query=decode_query(payload["query"]),
+            page_number=int(payload["page"]),
+            records=tuple(decode_record(r) for r in payload["records"]),
+            total_matches=(
+                int(payload["total"]) if payload.get("total") is not None else None
+            ),
+            accessible_matches=int(payload["accessible"]),
+            num_pages=int(payload["pages"]),
+            page_size=int(payload.get("pageSize", 0)),
+        )
+    except (
+        SerializationError, AttributeError, KeyError, OverflowError, TypeError, ValueError
+    ) as error:
+        raise ProtocolError(f"not a {JSON_SCHEMA} page: {error!r}") from error
 
 
 def parse_page_json(document: str) -> ResultPage:

@@ -108,12 +108,24 @@ class TestPriority:
         assert frontier.pop() == AV("a")
 
     def test_unrefreshed_growth_caught_at_pop(self):
-        # Even without refresh, the pop-time check re-ranks a stale top.
+        # A head that grew without a refresh is still the maximum.
         scores = {AV("a"): 5.0, AV("b"): 1.0}
         frontier = PriorityFrontier(lambda v: scores[v])
         frontier.push_all([AV("a"), AV("b")])
         scores[AV("a")] = 6.0  # still max; growth must not break popping
         assert frontier.pop() == AV("a")
+
+    def test_unrefreshed_growth_pops_at_the_rank_of_its_last_push(self):
+        # Scores may change only after a refresh; a value whose score
+        # grew unannounced keeps the rank it was pushed at, and popping
+        # spends no tick on rescoring it.
+        scores = {AV("a"): 1.0, AV("b"): 2.0, AV("c"): 3.0}
+        frontier = PriorityFrontier(lambda v: scores[v])
+        frontier.push_all(scores)
+        scores[AV("a")] = 10.0
+        scores[AV("c")] = 20.0
+        assert [frontier.pop() for _ in range(3)] == [AV("c"), AV("b"), AV("a")]
+        assert frontier.state_dict()["container"]["tick"] == 3
 
     def test_refresh_of_unknown_value_is_noop(self):
         frontier = PriorityFrontier(lambda v: 1.0)

@@ -176,6 +176,17 @@ def test_unchanged_score_refresh_pushes_nothing():
     assert len(world.frontier._heap) == 2  # no duplicate entries appended
 
 
+def test_unannounced_growth_pops_at_the_rank_of_its_last_push():
+    """Outside the refresh contract a value keeps its pushed rank."""
+    world = ScoreWorld()
+    for name, score in (("a", 1.0), ("b", 2.0), ("c", 3.0)):
+        world.push(name, score)
+    for name, score in (("a", 10.0), ("c", 20.0)):  # no refresh_id
+        world.scores[world.interner.intern(AV("a", name))] = score
+    assert [world.pop() for _ in range(3)] == ["c", "b", "a"]
+    assert world.frontier.state_dict()["container"]["tick"] == 3
+
+
 @pytest.mark.parametrize("cut", [3, 6, 9, 12])
 def test_checkpoint_round_trip_mid_script(cut):
     """state_dict/load_state at any point must not perturb later pops."""

@@ -1,11 +1,17 @@
 """Tests for RemoteWebDatabase: surface parity, pipelining, politeness."""
 
+import json
+import socket
+import threading
+import time
+
 import pytest
 
 from repro.core import Query
 from repro.core.errors import PaginationError, UnsupportedQueryError
 from repro.metrics import MetricsRegistry
 from repro.net import RemoteSourceError, RemoteWebDatabase, ServerThread, SourceService
+from repro.net.protocol import ProtocolError, SourceDescriptor
 from repro.server import (
     PermanentServerFailure,
     RateLimiter,
@@ -172,6 +178,20 @@ class TestPoliteness:
 
 
 class TestLifecycle:
+    def test_client_starts_no_thread(self, served):
+        url, _service = served
+        before = threading.active_count()
+        client = RemoteWebDatabase(url, source="books", pipeline_depth=2)
+        query = Query.equality("publisher", "orbit")
+        page = client.submit(query)
+        while page.has_next:
+            page = client.submit(query, page.page_number + 1)
+        assert page.page_number == 2
+        assert client._opened <= client.pipeline_depth + 1
+        assert threading.active_count() == before
+        client.close()
+        assert threading.active_count() == before
+
     def test_close_is_idempotent_and_blocks_submit(self, served):
         url, _service = served
         client = RemoteWebDatabase(url, source="books")
@@ -189,8 +209,151 @@ class TestLifecycle:
             for page in (1, 2, 1, 2):
                 client.submit(Query.equality("publisher", "orbit"), page)
             # Meta + truth_size + 4 pages over at most 1 pooled conn.
-            assert client._pool.opened <= 2
+            assert client._opened <= 2
 
     def test_bad_url_rejected_early(self):
         with pytest.raises(ValueError):
             RemoteWebDatabase("ftp://example.org")
+
+
+def http_answer(body: bytes, status: str = "200 OK", close: bool = False) -> bytes:
+    head = f"HTTP/1.1 {status}\r\nContent-Length: {len(body)}\r\n"
+    if close:
+        head += "Connection: close\r\n"
+    return head.encode("latin-1") + b"\r\n" + body
+
+
+class ScriptedServer:
+    """A raw-socket stand-in for the service, answering from a script.
+
+    ``script[i]`` answers the i-th request the server reads, across
+    connections: bytes are written back verbatim (an answer carrying
+    ``Connection: close`` also closes the connection), and ``None``
+    leaves the request unanswered while the connection stays open.
+    """
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.requests = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._held = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def __enter__(self) -> str:
+        self._thread.start()
+        host, port = self._listener.getsockname()[:2]
+        return f"http://{host}:{port}"
+
+    def __exit__(self, *exc_info) -> None:
+        sockets = [self._listener, *self._held]
+        for sock in sockets:  # wakes a blocked accept() or readline()
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._thread.join(timeout=5.0)
+        for sock in sockets:
+            sock.close()
+        assert not self._thread.is_alive()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                sock, _addr = self._listener.accept()
+            except OSError:
+                return
+            self._held.append(sock)
+            reader = sock.makefile("rb")
+            while self._read_request(reader):
+                answer = self.script[min(self.requests, len(self.script) - 1)]
+                self.requests += 1
+                if answer is None:
+                    break
+                sock.sendall(answer)
+                if b"Connection: close" in answer.split(b"\r\n\r\n")[0]:
+                    sock.close()
+                    break
+
+    @staticmethod
+    def _read_request(reader) -> bool:
+        while True:
+            line = reader.readline()
+            if not line:
+                return False
+            if line in (b"\r\n", b"\n"):
+                return True
+
+
+@pytest.fixture()
+def meta_body(books):
+    descriptor = SourceDescriptor.for_source(
+        "books", SimulatedWebDatabase(books, page_size=2)
+    )
+    return json.dumps(descriptor.to_json()).encode("utf-8")
+
+
+class TestMalformedAndStalledAnswers:
+    GARBAGE = b"HTTP/1.1 banana\r\nContent-Length: 0\r\n\r\n"
+
+    @pytest.mark.parametrize("reused", [False, True])
+    def test_garbage_status_line_is_a_protocol_error(self, meta_body, reused):
+        meta = http_answer(meta_body, close=not reused)
+        with ScriptedServer([meta, self.GARBAGE]) as url:
+            with RemoteWebDatabase(
+                url, source="books", pipeline_depth=0, max_retries=2
+            ) as client:
+                assert client._opened == 1
+                with pytest.raises(ProtocolError, match="status line"):
+                    client.submit(Query.equality("publisher", "orbit"))
+                assert client.rounds == 0
+                # Not retried, and the connection was dropped.
+                assert client._opened == (1 if reused else 2)
+                assert not client._idle
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: -4\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: lots\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n",
+        ],
+    )
+    def test_garbage_headers_are_a_protocol_error(self, meta_body, head):
+        with ScriptedServer([http_answer(meta_body), head]) as url:
+            with RemoteWebDatabase(
+                url, source="books", pipeline_depth=0
+            ) as client:
+                with pytest.raises(ProtocolError):
+                    client.submit(Query.equality("publisher", "orbit"))
+                assert client.rounds == 0
+
+    @pytest.mark.parametrize(
+        "format, body", [("json", b"\xff\xfe"), ("xml", b"<Items><oops")]
+    )
+    def test_unreadable_page_is_a_protocol_error(self, meta_body, format, body):
+        with ScriptedServer([http_answer(meta_body), http_answer(body)]) as url:
+            with RemoteWebDatabase(
+                url, source="books", format=format, pipeline_depth=0
+            ) as client:
+                with pytest.raises(ProtocolError):
+                    client.submit(Query.equality("publisher", "orbit"))
+                assert client.rounds == 0
+
+    def test_stalled_server_is_permanent_failure(self, meta_body):
+        timeout, max_retries, backoff = 0.3, 1, 0.01
+        with ScriptedServer([http_answer(meta_body), None]) as url:
+            with RemoteWebDatabase(
+                url,
+                source="books",
+                pipeline_depth=0,
+                max_retries=max_retries,
+                timeout=timeout,
+                backoff_base=backoff,
+            ) as client:
+                started = time.perf_counter()
+                with pytest.raises(PermanentServerFailure):
+                    client.submit(Query.equality("publisher", "orbit"))
+                elapsed = time.perf_counter() - started
+                assert client.rounds == 0
+        attempts = max_retries + 1
+        assert attempts * timeout <= elapsed < attempts * timeout + backoff + 1.0

@@ -10,6 +10,9 @@ worker count.
 from __future__ import annotations
 
 import random
+import threading
+import time
+import urllib.request
 
 import pytest
 
@@ -118,6 +121,31 @@ class TestThreadLane:
         ) as url:
             _result, ids, _seeds = crawl_remote(url)
             assert ids
+
+    @pytest.mark.parametrize("serve_first", [False, True])
+    def test_stop_ends_the_acceptor(self, small_table, serve_first, monkeypatch):
+        def acceptors():
+            return [
+                thread
+                for thread in threading.enumerate()
+                if thread.name == "repro-net-acceptor"
+            ]
+
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        before = acceptors()
+        cluster = SourceCluster(
+            make_sources(small_table), workers=1, mode="thread"
+        )
+        url = cluster.start()
+        if serve_first:  # the acceptor is back in accept() by now
+            with urllib.request.urlopen(f"{url}/healthz", timeout=5) as answer:
+                assert answer.status == 200
+        started = time.perf_counter()
+        cluster.stop()
+        assert time.perf_counter() - started < 5.0
+        assert acceptors() == before
+        assert crashes == []
 
 
 @needs_reuseport

@@ -1,11 +1,17 @@
 """Unit tests for the wire protocol: query encoding, JSON pages, descriptors."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core import ConjunctiveQuery, Query, Record, Schema
+from repro.core.errors import ReproError
 from repro.core.values import AttributeValue
 from repro.net.protocol import (
+    JSON_SCHEMA,
     ProtocolError,
     SourceDescriptor,
     decode_query_params,
@@ -19,6 +25,7 @@ from repro.net.protocol import (
     render_page_json,
 )
 from repro.server import SimulatedWebDatabase, paginate
+from repro.server.pagination import ResultPage
 
 schema = Schema.of("title", author={"multivalued": True})
 
@@ -119,6 +126,98 @@ class TestJsonPages:
             parse_page_json("not json at all")
         with pytest.raises(ProtocolError):
             parse_page_json("[1,2,3]")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"schema": JSON_SCHEMA},
+            {"schema": JSON_SCHEMA, "query": "knuth"},
+            {"schema": JSON_SCHEMA, "query": {"a": "author", "v": "x"}},
+        ],
+    )
+    def test_incomplete_page_is_a_protocol_error(self, payload):
+        with pytest.raises(ProtocolError):
+            parse_page_json(json.dumps(payload))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+#: JSON objects shaped like a page, so decoding gets past the schema tag
+#: and the key lookups into the query, record and integer fields.
+page_like = st.fixed_dictionaries(
+    {"schema": st.just(JSON_SCHEMA)},
+    optional={
+        "query": json_values
+        | st.fixed_dictionaries({"v": json_values}, optional={"a": json_values})
+        | st.fixed_dictionaries({"cq": st.lists(json_values, max_size=3)}),
+        "page": json_values,
+        "pages": json_values,
+        "total": json_values,
+        "accessible": json_values,
+        "pageSize": json_values,
+        "records": json_values
+        | st.lists(
+            st.fixed_dictionaries(
+                {"id": json_values, "f": json_values}
+            ),
+            max_size=3,
+        ),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | json_values.map(json.dumps) | page_like.map(json.dumps))
+def test_property_any_text_parses_or_raises_a_repro_error(document):
+    try:
+        page = parse_page_json(document)
+    except ReproError:
+        return
+    assert isinstance(page, ResultPage)
+
+
+field_values = st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=3)
+records = st.lists(
+    st.builds(
+        Record,
+        st.integers(min_value=0, max_value=2**53),
+        st.dictionaries(st.text(min_size=1, max_size=6), field_values, max_size=3),
+    ),
+    max_size=6,
+)
+words = st.text(min_size=1, max_size=8).filter(str.strip)
+queries = st.builds(Query.equality, words, words) | st.builds(
+    ConjunctiveQuery.of,
+    st.builds(AttributeValue, st.just("title"), words),
+    st.builds(AttributeValue, st.just("author"), words),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    queries,
+    records,
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+)
+def test_property_render_then_parse_round_trips(
+    query, matches, page_number, page_size, report_total
+):
+    last_page = max(1, -(-len(matches) // page_size))
+    page = paginate(
+        query,
+        matches,
+        min(page_number, last_page),
+        page_size,
+        report_total=report_total,
+    )
+    assert parse_page_json(render_page_json(page)) == page
 
 
 class TestDescriptor:

@@ -51,7 +51,11 @@ ANALYSIS_STACK = ("scipy", "networkx")
 def test_crawl_processes_leave_the_analysis_stack_unloaded():
     """Crawling needs neither scipy nor networkx."""
     crawl_modules = (
-        "repro.crawler.engine", "repro.runtime.crawler", "repro.fleet", "repro.net"
+        "repro.crawler.engine",
+        "repro.runtime.crawler",
+        "repro.fleet",
+        "repro.net",
+        "repro.experiments.harness",
     )
     assert not modules_loaded_after(crawl_modules, ANALYSIS_STACK)
 
