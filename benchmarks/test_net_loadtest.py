@@ -1,10 +1,10 @@
 """Network-lane load benchmark: ≥500 concurrent sessions vs a cluster.
 
 Starts the multi-core serving lane (:class:`repro.net.SourceCluster` —
-``SO_REUSEPORT`` worker processes on shared-memory tables, rendered
-pages cached) and drives :func:`repro.net.run_loadtest` at ``SESSIONS``
-concurrent sessions (scaled by ``REPRO_BENCH_SCALE``, with a hard floor
-of 500 at default scale per the acceptance bar).  The run must complete
+``SO_REUSEPORT`` worker processes, rendered pages cached) and drives
+:func:`repro.net.run_loadtest` at ``SESSIONS`` concurrent sessions
+(scaled by ``REPRO_BENCH_SCALE``, with a hard floor of 500 at default
+scale per the acceptance bar).  The run must complete
 with zero transport errors and emit latency percentiles.
 
 The emitted ``BENCH_net.json`` (path overridable via

@@ -355,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "leakage to clients)")
     serve.add_argument("--workers", type=int, default=1,
                        help="event loops serving the port (>1 starts a "
-                            "SourceCluster: SO_REUSEPORT worker processes "
-                            "on shared-memory tables, or event loops on "
-                            "threads where SO_REUSEPORT is missing)")
+                            "SourceCluster: SO_REUSEPORT worker processes, "
+                            "or event loops on threads where SO_REUSEPORT "
+                            "is missing)")
     serve.add_argument("--page-cache", type=int, default=4096,
                        help="rendered-page LRU entries per worker "
                             "(0 disables the cache)")

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import shmtable
 from repro.core.table import RelationalTable, sample_seed_values
 from repro.core.values import AttributeValue
 from repro.crawler.engine import CrawlResult
@@ -26,26 +25,6 @@ from repro.server.webdb import SimulatedWebDatabase
 
 #: A policy factory: fresh selector per crawl (selectors are single-use).
 PolicyFactory = Callable[[], QuerySelector]
-
-
-def _table_source(table: RelationalTable, share: bool):
-    """Resolve how grid workers reach the table.
-
-    Returns ``(source, payloads, cleanup)``: ``source()`` is what the
-    server factory hands to :class:`SimulatedWebDatabase` (called inside
-    workers, after fork), ``payloads`` goes on the grid for shm-byte
-    accounting, and ``cleanup()`` must run once the grid is done.
-
-    With ``share`` and a supported platform the table is flattened into
-    one shared-memory block (:func:`repro.core.shmtable.share_table`)
-    and every worker attaches the same read-only view — identical crawl
-    results, no per-worker table copy.  Otherwise workers close over
-    the table object itself (the legacy path).
-    """
-    if share and shmtable.supported() and len(table) > 0:
-        handle = shmtable.share_table(table)
-        return handle.table, (handle,), handle.unlink
-    return (lambda: table), (), (lambda: None)
 
 
 @dataclass
@@ -108,6 +87,35 @@ def group_policy_runs(
     return runs
 
 
+def _run_grid(
+    table: RelationalTable,
+    tasks: Tuple[CrawlTask, ...],
+    make_selector: Callable[[CrawlTask], QuerySelector],
+    *,
+    page_size: int,
+    limit_policy: Optional[ResultLimitPolicy],
+    rng_seed: int,
+    crawl_kwargs: dict,
+    **run_kwargs,
+) -> Dict[str, PolicyRun]:
+    """Crawl every task on a fresh server over ``table``, grouped by policy.
+
+    ``run_kwargs`` are :func:`repro.parallel.run_crawl_grid`'s
+    (workers, bus, metrics, trace options).
+    """
+    grid = CrawlGrid(
+        make_server=lambda task: SimulatedWebDatabase(
+            table, page_size=page_size, limit_policy=limit_policy
+        ),
+        make_selector=make_selector,
+        tasks=tasks,
+        rng_seed=rng_seed,
+        crawl_kwargs=crawl_kwargs,
+    )
+    outcome = run_crawl_grid(grid, **run_kwargs)
+    return group_policy_runs(tasks, outcome.results)
+
+
 def run_policy(
     table: RelationalTable,
     policy_factory: PolicyFactory,
@@ -121,7 +129,6 @@ def run_policy(
     trace: Optional[str] = None,
     trace_timings: bool = True,
     trace_append: bool = False,
-    share_table: bool = False,
     **crawl_kwargs,
 ) -> PolicyRun:
     """Crawl ``table`` once per seed set and aggregate the results.
@@ -133,39 +140,27 @@ def run_policy(
     is bit-identical to ``workers=1`` because each crawl derives its
     engine seed as ``rng_seed + index`` either way.  ``metrics``
     (a :class:`~repro.metrics.registry.MetricsRegistry`) receives
-    per-task telemetry merged in fixed task order.  ``share_table``
-    ships the table to workers as one shared-memory block instead of a
-    per-worker copy (identical results; silently falls back to the
-    plain table where shared memory is unavailable).
+    per-task telemetry merged in fixed task order.
     """
     tasks = tuple(
         CrawlTask(label="", seed_index=index, seeds=tuple(seed_values))
         for index, seed_values in enumerate(seeds)
     )
-    source, payloads, cleanup = _table_source(table, share_table)
-    grid = CrawlGrid(
-        make_server=lambda task: SimulatedWebDatabase(
-            source(), page_size=page_size, limit_policy=limit_policy
-        ),
-        make_selector=lambda task: policy_factory(),
-        tasks=tasks,
+    [run] = _run_grid(
+        table,
+        tasks,
+        lambda task: policy_factory(),
+        page_size=page_size,
+        limit_policy=limit_policy,
         rng_seed=rng_seed,
         crawl_kwargs=crawl_kwargs,
-        shared_payloads=payloads,
-    )
-    try:
-        outcome = run_crawl_grid(
-            grid,
-            workers=workers,
-            bus=bus,
-            metrics=metrics,
-            trace=trace,
-            trace_timings=trace_timings,
-            trace_append=trace_append,
-        )
-    finally:
-        cleanup()
-    [run] = group_policy_runs(tasks, outcome.results).values()
+        workers=workers,
+        bus=bus,
+        metrics=metrics,
+        trace=trace,
+        trace_timings=trace_timings,
+        trace_append=trace_append,
+    ).values()
     return run
 
 
@@ -183,7 +178,6 @@ def run_policy_suite(
     trace: Optional[str] = None,
     trace_timings: bool = True,
     trace_append: bool = False,
-    share_table: bool = False,
     **crawl_kwargs,
 ) -> Dict[str, PolicyRun]:
     """Run several policies over the same seed sets (paired comparison).
@@ -191,9 +185,7 @@ def run_policy_suite(
     The whole (policy × seed-set) grid fans out together through
     :func:`repro.parallel.run_crawl_grid`, so a 4-policy × 4-seed suite
     keeps up to 16 workers busy; ``workers=1`` is the legacy sequential
-    path (same task order, same results).  ``share_table`` backs every
-    worker's server with one shared-memory copy of the table (see
-    :func:`run_policy`).
+    path (same task order, same results).
     """
     rng = random.Random(rng_seed)
     seed_sets = [
@@ -205,27 +197,18 @@ def run_policy_suite(
         for label in policies
         for index, seed_values in enumerate(seed_sets)
     )
-    source, payloads, cleanup = _table_source(table, share_table)
-    grid = CrawlGrid(
-        make_server=lambda task: SimulatedWebDatabase(
-            source(), page_size=page_size, limit_policy=limit_policy
-        ),
-        make_selector=lambda task: policies[task.label](),
-        tasks=tasks,
+    return _run_grid(
+        table,
+        tasks,
+        lambda task: policies[task.label](),
+        page_size=page_size,
+        limit_policy=limit_policy,
         rng_seed=rng_seed,
         crawl_kwargs=crawl_kwargs,
-        shared_payloads=payloads,
+        workers=workers,
+        bus=bus,
+        metrics=metrics,
+        trace=trace,
+        trace_timings=trace_timings,
+        trace_append=trace_append,
     )
-    try:
-        outcome = run_crawl_grid(
-            grid,
-            workers=workers,
-            bus=bus,
-            metrics=metrics,
-            trace=trace,
-            trace_timings=trace_timings,
-            trace_append=trace_append,
-        )
-    finally:
-        cleanup()
-    return group_policy_runs(tasks, outcome.results)

@@ -245,10 +245,6 @@ class TelemetrySink(EventSink):
         self.frontier_pending = declare.gauge(
             "frontier_pending", "Candidate values awaiting issuance"
         )
-        self.grid_shm_bytes = declare.gauge(
-            "grid_shm_bytes",
-            "Bytes of shared-memory table payloads backing experiment grids",
-        )
         self.task_seconds = declare.counter(
             "experiment_task_seconds_total",
             "Summed per-task crawl seconds of experiment grids",

@@ -26,7 +26,7 @@ network boundary.  Three layers:
 - :mod:`repro.net.cluster` — :class:`SourceCluster`, the multi-core
   lane: N ``SO_REUSEPORT`` worker processes (or, where
   ``SO_REUSEPORT`` is missing, N event loops on threads) serving one
-  port from shared-memory tables, with a control plane that merges
+  port from the same tables, with a control plane that merges
   per-worker accounting deterministically;
 - :mod:`repro.net.cache` — the rendered-page LRU behind the service's
   ``ETag``/``If-None-Match`` revalidation.

@@ -7,11 +7,11 @@ service across cores without changing what the wire says:
 - **Process lane** (default where ``SO_REUSEPORT`` exists): each worker
   process runs its own event loop and service, binds its *own* socket
   to the shared ``(host, port)`` with ``SO_REUSEPORT``, and the kernel
-  load-balances accepted connections across workers.  Source tables
-  are not copied per worker: the parent publishes each table once
-  through :func:`repro.core.shmtable.share_table` and every worker
-  attaches the read-only :class:`~repro.core.shmtable.FrozenTableView`
-  (falling back to a pickled copy where shared memory is unavailable).
+  load-balances accepted connections across workers.  Each worker
+  rebuilds every source from a :class:`SourceRecipe` over the caller's
+  own :class:`~repro.core.table.RelationalTable` (inherited under
+  ``fork``, pickled once per worker under ``spawn``), so every lane
+  answers from the one table implementation.
 - **Thread lane** (the fallback where ``SO_REUSEPORT`` is missing —
   Windows — or ``mode="thread"``): one process, N
   event loops on N threads sharing a single
@@ -41,7 +41,6 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
-import pickle
 import signal
 import socket
 import threading
@@ -50,8 +49,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core import shmtable
-from repro.core.shmtable import SharedTableHandle
+from repro.core.table import RelationalTable
 from repro.metrics import MetricsRegistry
 from repro.net.server import AsyncSourceServer, SourceService
 from repro.obs.server_trace import (
@@ -60,9 +58,11 @@ from repro.obs.server_trace import (
     merge_groups,
     write_server_trace,
 )
+from repro.server.interface import QueryInterface
 from repro.server.limits import (
     RateLimiter,
     RateLimiterSpec,
+    ResultLimitPolicy,
     merge_runtime_states,
 )
 from repro.server.webdb import SimulatedWebDatabase
@@ -101,53 +101,46 @@ def _reuseport_socket(host: str, port: int) -> socket.socket:
 class SourceRecipe:
     """Everything a worker needs to rebuild one mounted source.
 
-    The table travels as a :class:`SharedTableHandle` (attach-once,
-    zero-copy) when shared memory is available, else as a pickle; the
-    rest of :class:`~repro.server.webdb.SimulatedWebDatabase` is cheap
-    immutable configuration rebuilt per worker.  Per-worker rebuild is
-    what makes the lane correct: the communication log and order cache
-    are mutable and must not be shared across processes.
+    The recipe holds the caller's table itself and every constructor
+    setting of its :class:`~repro.server.webdb.SimulatedWebDatabase`.
+    Per-worker rebuild is what makes the lane correct: the
+    communication log and order cache are mutable and must not be
+    shared across processes, so :meth:`build` starts them fresh.
     """
 
     name: str
+    table: RelationalTable
     page_size: int
-    limit_policy: object
+    limit_policy: ResultLimitPolicy
     report_total: bool
-    handle: Optional[SharedTableHandle] = None
-    table_payload: Optional[bytes] = None
+    interface: QueryInterface
+    keep_request_log: bool
+    order_cache_size: int
 
     @classmethod
     def from_source(
-        cls, name: str, source, use_shared_memory: bool = True
+        cls, name: str, source: SimulatedWebDatabase
     ) -> "SourceRecipe":
-        handle = None
-        payload = None
-        if use_shared_memory and shmtable.supported():
-            try:
-                handle = shmtable.share_table(source.table)
-            except Exception:  # noqa: BLE001 - pickle fallback below
-                handle = None
-        if handle is None:
-            payload = pickle.dumps(source.table)
         return cls(
             name=name,
+            table=source.table,
             page_size=source.page_size,
             limit_policy=source.limit_policy,
             report_total=source.report_total,
-            handle=handle,
-            table_payload=payload,
+            interface=source.interface,
+            keep_request_log=source.log.keep_requests,
+            order_cache_size=source.order_cache_size,
         )
 
     def build(self) -> SimulatedWebDatabase:
-        if self.handle is not None:
-            table = self.handle.table()
-        else:
-            table = pickle.loads(self.table_payload)
         return SimulatedWebDatabase(
-            table,
+            self.table,
             page_size=self.page_size,
             limit_policy=self.limit_policy,
             report_total=self.report_total,
+            interface=self.interface,
+            keep_request_log=self.keep_request_log,
+            order_cache_size=self.order_cache_size,
         )
 
 
@@ -464,7 +457,7 @@ class SourceCluster:
         ``name -> SimulatedWebDatabase``, exactly as for
         :class:`~repro.net.server.SourceService`.  In the process lane
         each worker rebuilds its own instances from
-        :class:`SourceRecipe` (tables shared via shm); the caller's
+        :class:`SourceRecipe` over the same tables; the caller's
         instances are left untouched.
     workers:
         Event loops to run.  1 is legal (useful for like-for-like
@@ -475,8 +468,6 @@ class SourceCluster:
     rate_limiter:
         A spec (not a live limiter — limiters do not cross processes);
         each worker builds its own.
-    use_shared_memory:
-        Set ``False`` to force the pickled-table fallback (tests).
     trace_spans:
         Record server-side request spans (see
         :mod:`repro.obs.server_trace`) on every worker; at ``stop()``
@@ -500,7 +491,6 @@ class SourceCluster:
         expose_truth: bool = True,
         page_cache_size: int = 4096,
         idle_timeout: float = 30.0,
-        use_shared_memory: bool = True,
         trace_spans: bool = False,
         trace_timings: bool = True,
         trace_path=None,
@@ -528,7 +518,6 @@ class SourceCluster:
         self.expose_truth = expose_truth
         self.page_cache_size = page_cache_size
         self.idle_timeout = idle_timeout
-        self.use_shared_memory = use_shared_memory
         self.trace_spans = trace_spans
         self.trace_timings = trace_timings
         self.trace_path = trace_path
@@ -538,7 +527,6 @@ class SourceCluster:
         self._started = False
         self._stopped = False
         # Process lane state
-        self._recipes: List[SourceRecipe] = []
         self._processes: List[multiprocessing.Process] = []
         self._pipes: List = []
         self._uplinks: List = []
@@ -620,10 +608,8 @@ class SourceCluster:
         placeholder = _reuseport_socket(self.host, self.port)
         self.host, self.port = placeholder.getsockname()[:2]
         try:
-            self._recipes = [
-                SourceRecipe.from_source(
-                    name, source, use_shared_memory=self.use_shared_memory
-                )
+            recipes = [
+                SourceRecipe.from_source(name, source)
                 for name, source in sorted(self.sources.items())
             ]
             config = ClusterConfig(
@@ -652,7 +638,7 @@ class SourceCluster:
                     target=_worker_main,
                     args=(
                         config,
-                        self._recipes,
+                        recipes,
                         child_conn,
                         placeholder_fd,
                         child_uplink,
@@ -671,11 +657,8 @@ class SourceCluster:
                 if kind != "ready":
                     self._kill_processes()
                     raise RuntimeError(f"worker {index} failed: {payload}")
-        except BaseException:
+        finally:
             placeholder.close()
-            self._unlink_tables()
-            raise
-        placeholder.close()
         self._broker_stop.clear()
         self._broker = threading.Thread(
             target=self._broker_loop, name="repro-net-broker", daemon=True
@@ -818,7 +801,6 @@ class SourceCluster:
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.terminate()
                 process.join(timeout=5.0)
-        self._unlink_tables()
         if self.trace_spans:
             self._finish_trace(trace_groups)
         if payloads:
@@ -829,14 +811,6 @@ class SourceCluster:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
-
-    def _unlink_tables(self) -> None:
-        for recipe in self._recipes:
-            if recipe.handle is not None:
-                try:
-                    recipe.handle.unlink()
-                except Exception:  # noqa: BLE001 - already gone
-                    pass
 
     # ------------------------------------------------------------------
     # Thread lane

@@ -223,13 +223,6 @@ class CrawlGrid:
     #: canonical (byte-comparable across worker counts *and* runs)
     #: traces; span ids/attrs are deterministic either way.
     trace_timings: bool = True
-    #: Shared-memory payloads (e.g.
-    #: :class:`~repro.core.shmtable.SharedTableHandle`) the grid's
-    #: factories attach to inside workers.  The grid runner only
-    #: accounts for them (the ``grid_shm_bytes`` gauge); creating and
-    #: unlinking the blocks is the grid builder's job — see
-    #: :func:`repro.experiments.harness.run_policy_suite`.
-    shared_payloads: Tuple[Any, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -377,18 +370,6 @@ def run_crawl_grid(
             metrics.merge(metrics_state)
         if trace is not None and trace_lines is not None:
             trace_tasks.append((label, task.seed_index, trace_lines))
-    if metrics is not None and grid.shared_payloads:
-        metrics.gauge(
-            "grid_shm_bytes",
-            "Bytes of shared-memory table payloads backing experiment grids",
-        ).set(
-            float(
-                sum(
-                    getattr(payload, "nbytes", 0)
-                    for payload in grid.shared_payloads
-                )
-            )
-        )
     trace_spans = 0
     if trace is not None:
         from repro.trace.sink import write_trace

@@ -239,12 +239,9 @@ class TestSampleSelector:
                 {"pending": 4, "dirty_total": 3, "rescored_total": 8}
             )
         )
-        sink.grid_shm_bytes.set(267256.0)
         text = prometheus_text(sink.registry)
         assert "# TYPE frontier_rescored_total counter" in text
         assert 'frontier_rescored_total{policy="greedy-link"} 8' in text
         assert 'frontier_dirty_total{policy="greedy-link"} 3' in text
         assert "# TYPE frontier_pending gauge" in text
         assert "frontier_pending 4" in text
-        assert "# TYPE grid_shm_bytes gauge" in text
-        assert "grid_shm_bytes 267256" in text

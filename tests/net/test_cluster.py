@@ -9,13 +9,18 @@ worker count.
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.core.errors import UnsupportedQueryError
 from repro.core.query import Query
 from repro.crawler.engine import CrawlerEngine
 from repro.datasets import load_dataset
@@ -27,9 +32,15 @@ from repro.net.cluster import (
     SourceRecipe,
     reuseport_supported,
 )
+from repro.net.protocol import query_url
 from repro.policies import GreedyLinkSelector
 from repro.server import SimulatedWebDatabase
-from repro.server.limits import RateLimiterSpec, merge_runtime_states
+from repro.server.interface import QueryInterface
+from repro.server.limits import (
+    RateLimiterSpec,
+    ResultLimitPolicy,
+    merge_runtime_states,
+)
 
 needs_reuseport = pytest.mark.skipif(
     not reuseport_supported(), reason="SO_REUSEPORT unavailable"
@@ -53,28 +64,78 @@ def crawl_remote(url, seed=1, target=0.5):
         return result, sorted(engine.local_db.record_ids()), seeds
 
 
+def keyword_source(table):
+    """A search-box-only source with every other setting off its default."""
+    return SimulatedWebDatabase(
+        table,
+        page_size=7,
+        limit_policy=ResultLimitPolicy(limit=20, ordering="ranked", seed=3),
+        report_total=False,
+        interface=QueryInterface.keyword_only(name="imdb-box"),
+        keep_request_log=True,
+        order_cache_size=16,
+    )
+
+
+def keyword_queries(table, count=4):
+    """Keyword queries over the table's most frequent values."""
+    pairs = sorted(
+        table.distinct_values(), key=lambda pair: (-table.frequency(pair), pair)
+    )
+    return [Query.keyword(pair.value) for pair in pairs[:count]]
+
+
+def all_pages(source, query):
+    first = source.submit(query)
+    rest = [source.submit(query, n) for n in range(2, first.num_pages + 1)]
+    return [first, *rest]
+
+
+def settings(source):
+    """Every constructor setting of a source (not its log or caches)."""
+    return (
+        source.page_size,
+        source.limit_policy,
+        source.report_total,
+        source.interface,
+        source.log.keep_requests,
+        source.order_cache_size,
+    )
+
+
 class TestRecipeRoundTrip:
     def test_shared_memory_recipe(self, small_table):
-        source = SimulatedWebDatabase(small_table, page_size=10)
+        """Workers share the caller's table object, not a copy of it.
+
+        ``build()`` returns a new source over that same table, with a
+        fresh log and every setting of the caller's source.
+        """
+        source = keyword_source(small_table)
+        queries = keyword_queries(small_table)
+        expected = [all_pages(source, query) for query in queries]
+        assert source.rounds > 0
         recipe = SourceRecipe.from_source("imdb", source)
-        try:
-            rebuilt = recipe.build()
-            assert rebuilt.page_size == 10
-            assert rebuilt.table.name == small_table.name
-            assert len(rebuilt.table) == len(small_table)
-        finally:
-            if recipe.handle is not None:
-                recipe.handle.unlink()
+        assert recipe.table is small_table
+        rebuilt = recipe.build()
+        assert rebuilt is not source
+        assert rebuilt.table is small_table
+        assert rebuilt.rounds == 0
+        assert settings(rebuilt) == settings(source)
+        assert [all_pages(rebuilt, query) for query in queries] == expected
 
     def test_pickle_fallback_recipe(self, small_table):
-        source = SimulatedWebDatabase(small_table, page_size=7)
-        recipe = SourceRecipe.from_source(
-            "imdb", source, use_shared_memory=False
-        )
-        assert recipe.handle is None
-        rebuilt = recipe.build()
-        assert rebuilt.page_size == 7
-        assert len(rebuilt.table) == len(small_table)
+        """Under spawn a worker gets the recipe as one pickle."""
+        source = keyword_source(small_table)
+        queries = keyword_queries(small_table)
+        expected = [all_pages(source, query) for query in queries]
+        assert any(len(pages) > 1 for pages in expected)
+        recipe = SourceRecipe.from_source("imdb", source)
+        shipped = pickle.loads(pickle.dumps(recipe)).build()
+        assert shipped.table is not small_table
+        assert len(shipped.table) == len(small_table)
+        assert shipped.rounds == 0
+        assert settings(shipped) == settings(source)
+        assert [all_pages(shipped, query) for query in queries] == expected
 
 
 class TestMergeRuntimeStates:
@@ -214,16 +275,47 @@ class TestProcessLane:
         assert limiter is not None
         assert limiter["denials"] >= 0  # state merged without error
 
-    def test_pickle_fallback_mode_serves(self, small_table):
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or not os.path.isdir("/dev/shm"),
+        reason="needs Linux /dev/shm",
+    )
+    def test_workers_create_no_shared_memory(self, small_table):
+        before = set(os.listdir("/dev/shm"))
         cluster = SourceCluster(
-            make_sources(small_table),
-            workers=2,
-            mode="process",
-            use_shared_memory=False,
+            make_sources(small_table), workers=1, mode="process"
         )
         with cluster as url:
             _result, ids, _seeds = crawl_remote(url)
             assert ids
+            assert set(os.listdir("/dev/shm")) - before == set()
+
+
+@pytest.mark.parametrize(
+    "mode", ["thread", pytest.param("process", marks=needs_reuseport)]
+)
+def test_keyword_only_source_answers_as_in_process(small_table, mode):
+    """Both lanes serve the caller's interface and settings unchanged."""
+    source = keyword_source(small_table)
+    queries = keyword_queries(small_table)
+    expected = [all_pages(keyword_source(small_table), q) for q in queries]
+    top = max(small_table.distinct_values(), key=small_table.frequency)
+    equality = Query.from_attribute_value(top)
+    with pytest.raises(UnsupportedQueryError):
+        source.submit(equality)
+    with SourceCluster({"imdb": source}, workers=1, mode=mode) as url:
+        with RemoteWebDatabase(url, source="imdb") as client:
+            assert client.interface == source.interface
+            assert client.page_size == source.page_size
+            with pytest.raises(UnsupportedQueryError):
+                client.submit(equality)
+            assert [all_pages(client, q) for q in queries] == expected
+            assert client.rounds == sum(len(pages) for pages in expected)
+        # The worker's source refuses the query too, not only the client.
+        target = query_url(f"{url}/sources/imdb/query", equality)
+        with pytest.raises(urllib.error.HTTPError) as refused:
+            urllib.request.urlopen(target, timeout=5)
+        refused.value.close()
+        assert refused.value.code == 400
 
 
 class TestSnapshotAccounting:

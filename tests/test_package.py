@@ -65,3 +65,11 @@ def test_cli_and_harness_leave_scipy_unloaded():
     assert not modules_loaded_after(
         ("repro.cli", "repro.experiments.harness"), ("scipy",)
     )
+
+
+def test_serving_and_grids_load_no_shared_memory():
+    """Workers answer from the caller's table; nothing maps a shm block."""
+    assert not modules_loaded_after(
+        ("repro.net", "repro.experiments.harness", "repro.cli"),
+        ("repro.core.shmtable", "multiprocessing.shared_memory"),
+    )
