@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 from repro.core.errors import SchemaError
 from repro.core.schema import Schema
-from repro.core.values import AttributeValue, normalize
+from repro.core.values import AttributeValue, _normalized_pair, normalize
 
 RawValue = Union[str, Sequence[str]]
 
@@ -26,7 +26,9 @@ class Record:
 
     Values are normalized at construction; empty values are dropped.
     ``fields`` maps attribute name to a tuple of normalized strings
-    (singletons for single-valued attributes).
+    (singletons for single-valued attributes).  The pairs of
+    :meth:`attribute_values` follow ``fields`` in order and hold its
+    strings.
     """
 
     record_id: int
@@ -35,20 +37,24 @@ class Record:
 
     def __post_init__(self) -> None:
         cleaned: dict[str, tuple[str, ...]] = {}
-        pairs: list[AttributeValue] = []
         for attribute, values in self.fields.items():
-            name = attribute.strip().lower()
-            normalized = tuple(
-                dict.fromkeys(  # preserve order, drop duplicates
-                    v for v in (normalize(x) for x in values) if v
-                )
-            )
-            if not normalized:
-                continue
-            cleaned[name] = normalized
-            pairs.extend(AttributeValue(name, v) for v in normalized)
+            # Keeps first-seen order and drops duplicates and empties.
+            unique = dict.fromkeys(map(normalize, values))
+            unique.pop("", None)
+            if unique:
+                cleaned[attribute.strip().lower()] = tuple(unique)
         object.__setattr__(self, "fields", cleaned)
-        object.__setattr__(self, "_values", tuple(pairs))
+        # Each value was normalized once, just above; the pairs share
+        # those strings rather than normalizing copies of them.
+        object.__setattr__(
+            self,
+            "_values",
+            tuple(
+                _normalized_pair(name, value)
+                for name, values in cleaned.items()
+                for value in values
+            ),
+        )
 
     @classmethod
     def build(cls, record_id: int, schema: Schema, **raw: RawValue) -> "Record":

@@ -12,24 +12,24 @@ setup) would.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable
-
-_WHITESPACE = re.compile(r"\s+")
 
 
 def normalize(raw: str) -> str:
     """Normalize a raw attribute value for matching.
 
-    Lower-cases, strips, and collapses internal whitespace.  The empty
-    string stays empty; callers decide whether to reject it (records do,
-    see :class:`repro.core.records.Record`).
+    Lower-cases, strips, and collapses internal whitespace (every
+    ``str.isspace()`` character, the set the regex ``\\s`` matches) into
+    single spaces.  The result is a fixed point: normalizing it again
+    returns an equal string.  The empty string stays empty; callers
+    decide whether to reject it (records do, see
+    :class:`repro.core.records.Record`).
 
     >>> normalize("  Hanks,   Tom ")
     'hanks, tom'
     """
-    return _WHITESPACE.sub(" ", raw.strip().lower())
+    return " ".join(raw.lower().split())
 
 
 @dataclass(frozen=True, order=True)
@@ -52,6 +52,27 @@ class AttributeValue:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.attribute}={self.value!r}"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _normalized_pair(attribute: str, value: str) -> AttributeValue:
+    """An :class:`AttributeValue` over strings that are already normalized.
+
+    Skips ``__post_init__``, so the pair holds the very strings it is
+    given.  Only :class:`~repro.core.records.Record` calls it, with the
+    attribute name and values it has just normalized; the result equals
+    ``AttributeValue(attribute, value)``.
+    """
+    pair = _new(AttributeValue)
+    # Not through pair.__dict__: touching it makes CPython (3.11 and
+    # later) give the instance a dict of its own, and every later
+    # attribute read and hash of the pair slows by a third or more.
+    _set(pair, "attribute", attribute)
+    _set(pair, "value", value)
+    return pair
 
 
 def distinct_values(pairs: Iterable[AttributeValue]) -> set[AttributeValue]:

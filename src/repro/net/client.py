@@ -37,6 +37,13 @@ Design points:
   communication round, exactly like a full response (the round is
   charged on *consumption* in ``submit()``, which cannot tell a 304
   from a 200 and must not).
+- **Record reuse.**  JSON pages decode through a per-client memo of
+  record id → :class:`~repro.core.records.Record`.  A record whose wire
+  fields equal the held record's normalized fields, in the same
+  attribute order, is returned as that object; anything else is decoded
+  and replaces the entry.  Late in a crawl most records on a page are
+  repeats, so a page costs about its new records.  ``close()`` drops
+  the memo.
 - **Politeness.**  429/503 responses are honored by sleeping out the
   server's ``Retry-After`` (the JSON body's float, falling back to the
   integer header) before retrying; network failures, timeouts included,
@@ -64,6 +71,7 @@ from urllib.parse import urlencode, urlsplit
 
 from repro.core.errors import PaginationError, ReproError, UnsupportedQueryError
 from repro.core.query import AnyQuery
+from repro.core.records import Record
 from repro.core.values import AttributeValue
 from repro.metrics import MetricsRegistry
 from repro.net.protocol import (
@@ -281,6 +289,9 @@ class RemoteWebDatabase:
         #: (query, page_number) → page requests written ahead of
         #: consumption, answers unread.
         self._prefetched: Dict[Tuple[AnyQuery, int], _PageRequest] = {}
+        #: record id → the record last decoded under it, so a record the
+        #: wire repeats exactly decodes to the object the crawl holds.
+        self._records: Dict[int, Record] = {}
         self._closed = False
         self._truth_size: Optional[int] = None
         # Fetch the descriptor eagerly: submit() needs the interface
@@ -597,7 +608,7 @@ class RemoteWebDatabase:
                 text = body.decode("utf-8")
                 if self.format == "xml":
                     return parse_page(text)
-                return parse_page_json(text)
+                return parse_page_json(text, self._records)
             except (ValueError, SyntaxError) as error:  # bad UTF-8 or XML
                 raise ProtocolError(f"GET {target}: unreadable page") from error
         code, message = parse_error(body)
@@ -655,6 +666,7 @@ class RemoteWebDatabase:
         for connection in self._idle:
             connection.close()
         self._idle.clear()
+        self._records.clear()
 
     def __enter__(self) -> "RemoteWebDatabase":
         return self

@@ -41,8 +41,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import urlencode
 
-from repro.core.errors import ReproError
+from repro.core.errors import QueryError, ReproError
 from repro.core.query import AnyQuery, ConjunctiveQuery, Query
+from repro.core.records import Record
 from repro.core.values import AttributeValue
 from repro.runtime.serialize import (
     SerializationError,
@@ -96,7 +97,9 @@ def decode_query_params(params: Mapping[str, Sequence[str]]) -> AnyQuery:
     """Reconstruct the query from parsed query-string parameters.
 
     ``params`` is the :func:`urllib.parse.parse_qs` shape (name → list
-    of values, in document order).
+    of values, in document order).  Anything that does not make a query
+    (an empty value or attribute, a repeated attribute) raises
+    :class:`ProtocolError`, which the service answers with 400.
     """
     keywords = params.get("kw", ())
     attributes = list(params.get("a", ()))
@@ -104,17 +107,21 @@ def decode_query_params(params: Mapping[str, Sequence[str]]) -> AnyQuery:
     if keywords:
         if attributes or values or len(keywords) != 1:
             raise ProtocolError("kw cannot be combined with a/v pairs")
-        return Query.keyword(keywords[0])
-    if not attributes or len(attributes) != len(values):
+    elif not attributes or len(attributes) != len(values):
         raise ProtocolError(
             f"query needs matching a/v pairs, got {len(attributes)} "
             f"attribute(s) and {len(values)} value(s)"
         )
-    if len(attributes) == 1:
-        return Query(value=values[0], attribute=attributes[0])
-    return ConjunctiveQuery.of(
-        *(AttributeValue(a, v) for a, v in zip(attributes, values))
-    )
+    try:
+        if keywords:
+            return Query.keyword(keywords[0])
+        if len(attributes) == 1:
+            return Query(value=values[0], attribute=attributes[0])
+        return ConjunctiveQuery.of(
+            *(AttributeValue(a, v) for a, v in zip(attributes, values))
+        )
+    except QueryError as error:
+        raise ProtocolError(f"malformed query: {error}") from error
 
 
 # ----------------------------------------------------------------------
@@ -145,16 +152,49 @@ def render_page_json(page: ResultPage) -> str:
     return json.dumps(page_to_json(page), separators=(",", ":"))
 
 
-def page_from_json(payload: dict) -> ResultPage:
+def _record_from_json(payload: dict, known: Dict[int, Record]) -> Record:
+    """Decode one wire record, reusing ``known[id]`` for an exact repeat.
+
+    The cached record is reused only when the wire fields equal its
+    normalized fields, attribute order included; decoding such a payload
+    would rebuild an equal record (normalization is a fixed point).
+    Anything else is decoded afresh and replaces the entry.
+    """
+    record_id = int(payload["id"])
+    fields = payload["f"]
+    held = known.get(record_id)
+    if (
+        held is not None
+        and [*fields] == [*held.fields]
+        and [*map(tuple, fields.values())] == [*held.fields.values()]
+    ):
+        return held
+    record = known[record_id] = decode_record(payload)
+    return record
+
+
+def page_from_json(
+    payload: dict, known: Optional[Dict[int, Record]] = None
+) -> ResultPage:
+    """Decode a ``repro-page/1`` object.
+
+    ``known`` maps record id → the record last decoded under that id,
+    and is updated in place; a record the wire repeats exactly is
+    returned as that same object.  Without it, a fresh map is used.
+    """
     if payload.get("schema") != JSON_SCHEMA:
         raise ProtocolError(
             f"unexpected page schema {payload.get('schema')!r}"
         )
+    if known is None:
+        known = {}
     try:
         return ResultPage(
             query=decode_query(payload["query"]),
             page_number=int(payload["page"]),
-            records=tuple(decode_record(r) for r in payload["records"]),
+            records=tuple(
+                _record_from_json(record, known) for record in payload["records"]
+            ),
             total_matches=(
                 int(payload["total"]) if payload.get("total") is not None else None
             ),
@@ -168,15 +208,20 @@ def page_from_json(payload: dict) -> ResultPage:
         raise ProtocolError(f"not a {JSON_SCHEMA} page: {error!r}") from error
 
 
-def parse_page_json(document: str) -> ResultPage:
-    """Parse a JSON document produced by :func:`render_page_json`."""
+def parse_page_json(
+    document: str, known: Optional[Dict[int, Record]] = None
+) -> ResultPage:
+    """Parse a JSON document produced by :func:`render_page_json`.
+
+    ``known`` is :func:`page_from_json`'s record-id memo.
+    """
     try:
         payload = json.loads(document)
     except json.JSONDecodeError as error:
         raise ProtocolError(f"not a JSON page: {error}") from error
     if not isinstance(payload, dict):
         raise ProtocolError("not a JSON page: top level must be an object")
-    return page_from_json(payload)
+    return page_from_json(payload, known)
 
 
 # ----------------------------------------------------------------------

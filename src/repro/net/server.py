@@ -503,8 +503,6 @@ class SourceService:
                 query = decode_query_params(params)
             except ProtocolError as error:
                 return Response.error(400, "bad-request", str(error))
-            except (ValueError, KeyError) as error:
-                return Response.error(400, "bad-request", str(error))
             try:
                 page_number = int(params.get("page", ["1"])[0])
             except ValueError:

@@ -76,13 +76,17 @@ def parse_trace_header(value: Optional[str]):
     match = _CTX_RE.match(parent)
     if not trace_id or match is None:
         return None
+    try:
+        # int() refuses digit strings past sys.get_int_max_str_digits().
+        step, q_index, page = (int(g) for g in match.groups())
+    except ValueError:
+        return None
     attempt = 0
     if len(parts) >= 3:
         try:
             attempt = max(0, int(parts[2]))
         except ValueError:
             attempt = 0
-    step, q_index, page = (int(g) for g in match.groups())
     return trace_id, parent, step, q_index, page, attempt
 
 

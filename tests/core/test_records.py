@@ -5,8 +5,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import AttributeValue, Record, Schema, SchemaError
+from tests.core.test_values import reference_normalize, spaced_text
 
 schema = Schema.of("title", "publisher", author={"multivalued": True})
+
+
+def reference_fields(fields):
+    """``fields`` as the regex-normalizing constructor cleaned them."""
+    cleaned = {}
+    for attribute, values in fields.items():
+        normalized = tuple(
+            dict.fromkeys(v for v in map(reference_normalize, values) if v)
+        )
+        if normalized:
+            cleaned[attribute.strip().lower()] = normalized
+    return cleaned
+
+
+#: Raw field maps whose attribute names may collide once normalized.
+raw_fields = st.dictionaries(
+    st.sampled_from(["title", "Title ", " TITLE", "author", "Author", "x y"])
+    | spaced_text,
+    st.lists(spaced_text | st.sampled_from(["a", "A ", " a", "b"]), max_size=4),
+    max_size=5,
+)
 
 
 class TestBuild:
@@ -111,3 +133,48 @@ def test_property_clique_size_equals_distinct_values(authors):
     clique = record.attribute_values()
     assert len(clique) == len(set(clique))
     assert len(clique) == len(record.values_of("author"))
+
+
+class TestAgainstTheReferenceConstructor:
+    @given(raw_fields)
+    def test_fields_match_the_reference_in_order(self, fields):
+        record = Record(1, fields)
+        expected = reference_fields(fields)
+        assert list(record.fields.items()) == list(expected.items())
+
+    @given(raw_fields)
+    def test_pairs_equal_public_attribute_values(self, fields):
+        record = Record(1, fields)
+        public = tuple(
+            AttributeValue(attribute, value)
+            for attribute, values in record.fields.items()
+            for value in values
+        )
+        assert record.attribute_values() == public
+        assert [hash(pair) for pair in record.attribute_values()] == [
+            hash(pair) for pair in public
+        ]
+
+    @given(raw_fields)
+    def test_pairs_hold_the_strings_stored_in_fields(self, fields):
+        record = Record(1, fields)
+        stored = [
+            (attribute, value)
+            for attribute, values in record.fields.items()
+            for value in values
+        ]
+        assert len(stored) == len(record.attribute_values())
+        for pair, (attribute, value) in zip(record.attribute_values(), stored):
+            assert pair.attribute is attribute
+            assert pair.value is value
+
+    def test_colliding_attribute_names_keep_one_clique(self):
+        record = Record(1, {"Title": ["a"], "author": ["x"], "title": ["b"]})
+        assert list(record.fields.items()) == [
+            ("title", ("b",)),
+            ("author", ("x",)),
+        ]
+        assert record.attribute_values() == (
+            AttributeValue("title", "b"),
+            AttributeValue("author", "x"),
+        )

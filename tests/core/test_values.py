@@ -1,9 +1,30 @@
 """Unit and property tests for attribute-value normalization."""
 
+import re
+import sys
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.values import AttributeValue, distinct_values, normalize
+
+_WHITESPACE = re.compile(r"\s+")
+
+
+def reference_normalize(raw):
+    """The regex form of :func:`normalize`, kept as its reference."""
+    return _WHITESPACE.sub(" ", raw.strip().lower())
+
+
+#: Every code point, and the ones ``str.isspace()`` accepts.
+EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
+SPACES = "".join(c for c in EVERY_CODE_POINT if c.isspace())
+
+#: Text rich in whitespace of every kind and in letters that change case.
+spaced_text = st.text(
+    alphabet=st.sampled_from(SPACES) | st.characters() | st.sampled_from("AbΣİ"),
+    max_size=50,
+)
 
 
 class TestNormalize:
@@ -25,7 +46,7 @@ class TestNormalize:
             once = normalize(raw)
             assert normalize(once) == once
 
-    @given(st.text(max_size=50))
+    @given(spaced_text)
     def test_idempotent_property(self, raw):
         once = normalize(raw)
         assert normalize(once) == once
@@ -34,6 +55,27 @@ class TestNormalize:
     def test_no_leading_trailing_space(self, raw):
         result = normalize(raw)
         assert result == result.strip()
+
+    def test_fixed_point_on_every_code_point(self):
+        # What lets a decoder trust a normalized value without redoing
+        # it: values by normalize(), attribute names by strip().lower().
+        for char in EVERY_CODE_POINT:
+            once = normalize(char)
+            assert normalize(once) == once
+            name = char.strip().lower()
+            assert name.strip().lower() == name
+
+    def test_regex_whitespace_is_the_isspace_set(self):
+        assert re.findall(r"\s", EVERY_CODE_POINT) == list(SPACES)
+
+    def test_every_space_code_point_collapses(self):
+        for space in SPACES:
+            raw = f"{space}A{space}{space}b{space}"
+            assert normalize(raw) == reference_normalize(raw) == "a b"
+
+    @given(spaced_text)
+    def test_matches_the_regex_reference(self, raw):
+        assert normalize(raw) == reference_normalize(raw)
 
 
 class TestAttributeValue:

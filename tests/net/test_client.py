@@ -76,6 +76,37 @@ class TestSurfaceParity:
         assert remote.rounds == 41
 
 
+class TestRecordReuse:
+    def pages(self, client, query):
+        page = client.submit(query)
+        pages = [page]
+        while page.has_next:
+            page = client.submit(query, page.page_number + 1)
+            pages.append(page)
+        return pages
+
+    def test_a_repeated_record_is_the_object_decoded_first(self, remote, books):
+        local = SimulatedWebDatabase(books, page_size=2)
+        knuth = Query.equality("author", "knuth")
+        mitp = Query.equality("publisher", "mitp")
+        first = {
+            record.record_id: record
+            for page in self.pages(remote, knuth)
+            for record in page.records
+        }
+        shared = 0
+        for page in self.pages(remote, mitp):
+            assert page == local.submit(mitp, page.page_number)
+            for record in page.records:
+                if record.record_id in first:
+                    assert record is first[record.record_id]
+                    shared += 1
+        assert shared >= 1
+        # A page read again (revalidated by its ETag) reuses them too.
+        (again,) = self.pages(remote, knuth)[:1]
+        assert all(record is first[record.record_id] for record in again.records)
+
+
 class TestRoundAccounting:
     def test_rounds_count_consumed_pages_only(self, served):
         url, service = served

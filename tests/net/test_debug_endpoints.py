@@ -126,6 +126,15 @@ class TestSingleServiceDebug:
 
 
 class TestServerSpansOnQueryPath:
+    def test_oversized_context_id_is_untraced(self, service):
+        # int() refuses strings past 4,300 digits; the header fits the
+        # server's header budget, so it must degrade to "no tracing".
+        service.tracer = ServerSpanTracer(include_timings=False)
+        header = "t;s" + "5" * 5000 + "/q1/p1;0"
+        response = get(service, QUERY, headers={"x-repro-trace": header})
+        assert response.status == 200
+        assert service.tracer.payload() == []
+
     def test_traced_request_records_phases(self, service):
         service.tracer = ServerSpanTracer(include_timings=False)
         response = get(

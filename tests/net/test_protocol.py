@@ -24,6 +24,7 @@ from repro.net.protocol import (
     query_url,
     render_page_json,
 )
+from repro.runtime.serialize import encode_record
 from repro.server import SimulatedWebDatabase, paginate
 from repro.server.pagination import ResultPage
 
@@ -75,6 +76,35 @@ class TestQueryParams:
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):
             decode_query_params({})
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"kw": [""]},
+            {"kw": [" \t"]},
+            {"a": ["title"], "v": [""]},
+            {"a": [""], "v": ["x"]},
+            {"a": ["brand", "brand"], "v": ["x", "y"]},
+        ],
+    )
+    def test_malformed_query_is_a_protocol_error(self, params):
+        with pytest.raises(ProtocolError):
+            decode_query_params(params)
+
+
+#: Names the decoder reads, plus one it ignores.
+param_names = st.sampled_from(["kw", "a", "v", "page"])
+param_values = st.text(max_size=6) | st.sampled_from(["", " ", "Title", "title"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(param_names, st.lists(param_values, min_size=1, max_size=3)))
+def test_property_params_decode_to_a_query_or_raise_a_protocol_error(params):
+    try:
+        query = decode_query_params(params)
+    except ProtocolError:
+        return
+    assert isinstance(query, (Query, ConjunctiveQuery))
 
 
 def sample_page(report_total=True):
@@ -218,6 +248,145 @@ def test_property_render_then_parse_round_trips(
         report_total=report_total,
     )
     assert parse_page_json(render_page_json(page)) == page
+
+
+# ----------------------------------------------------------------------
+# The record-id memo against decoding each page alone
+# ----------------------------------------------------------------------
+memo_attributes = st.sampled_from(["title", "brand", "price", "Title", " brand"])
+memo_values = st.sampled_from(["a", "b", "a b", "A", " a ", "a  b", "", "c"])
+memo_fields = st.dictionaries(
+    memo_attributes, st.lists(memo_values, min_size=1, max_size=3), max_size=4
+)
+
+
+def served_fields(fields):
+    """The wire fields a server sends for the record ``fields`` make."""
+    return encode_record(Record(0, fields))["f"]
+
+
+@st.composite
+def repeat_of(draw, sent):
+    """Fields for a record id already on the wire with fields ``sent``."""
+    normal = served_fields(sent)
+    attributes = list(normal)
+    kind = draw(
+        st.sampled_from(
+            ["same", "raw", "reordered", "alike", "added", "dropped",
+             "spelling", "changed", "fresh"]
+        )
+    )
+    if kind == "same" or (not attributes and kind != "fresh"):
+        return normal
+    if kind == "raw":
+        return sent
+    if kind == "reordered":
+        return dict(reversed(list(normal.items())))
+    if kind == "alike":
+        # Equal values under every attribute: a later reordering then
+        # differs from this record in attribute order alone.
+        return {attribute: normal[attributes[0]] for attribute in attributes}
+    if kind == "added":
+        return {**normal, draw(memo_attributes): [draw(memo_values)]}
+    if kind == "fresh":
+        return draw(memo_fields)
+    attribute = draw(st.sampled_from(attributes))
+    if kind == "dropped":
+        return {a: v for a, v in normal.items() if a != attribute}
+    values = list(normal[attribute])
+    index = draw(st.integers(0, len(values) - 1))
+    values[index] = (
+        f" {values[index].upper()}  " if kind == "spelling" else draw(memo_values)
+    )
+    return {**normal, attribute: values}
+
+
+@st.composite
+def page_sequences(draw):
+    """Wire pages whose record ids repeat, with or without the same fields."""
+    sent = {}
+    documents = []
+    for _ in range(draw(st.integers(1, 5))):
+        records = []
+        for _ in range(draw(st.integers(0, 4))):
+            record_id = draw(st.integers(0, 3))
+            fields = (
+                draw(memo_fields)
+                if record_id not in sent
+                else draw(repeat_of(sent[record_id]))
+            )
+            sent[record_id] = fields
+            records.append({"id": record_id, "f": fields})
+        payload = page_to_json(sample_page())
+        payload["records"] = records
+        documents.append(json.dumps(payload))
+    return documents
+
+
+def same_records(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert a == b
+        assert list(a.fields.items()) == list(b.fields.items())
+        assert a.attribute_values() == b.attribute_values()
+
+
+@settings(max_examples=300, deadline=None)
+@given(page_sequences())
+def test_property_memo_decodes_like_each_page_alone(documents):
+    known = {}
+    for document in documents:
+        through_memo = parse_page_json(document, known)
+        alone = parse_page_json(document)
+        same_records(through_memo.records, alone.records)
+        last = {record.record_id: record for record in through_memo.records}
+        for record_id, record in last.items():
+            assert known[record_id] is record
+
+
+class TestRecordMemo:
+    def document(self, *records):
+        payload = page_to_json(sample_page())
+        payload["records"] = [{"id": i, "f": f} for i, f in records]
+        return json.dumps(payload)
+
+    def test_exact_repeat_is_the_same_object(self):
+        known = {}
+        fields = {"title": ["alpha"], "author": ["x", "y"]}
+        (first,) = parse_page_json(self.document((3, fields)), known).records
+        (again,) = parse_page_json(self.document((3, fields)), known).records
+        assert again is first
+
+    @pytest.mark.parametrize(
+        "repeat",
+        [
+            {"author": ["x", "y"], "title": ["alpha"]},  # reordered
+            {"title": ["alpha"], "author": ["y", "x"]},  # values reordered
+            {"title": ["Alpha"], "author": ["x", "y"]},  # unnormalized
+            {"title": ["alpha"]},  # dropped
+            {"title": ["alpha"], "author": ["x", "y"], "isbn": ["1"]},  # added
+            {"title": ["beta"], "author": ["x", "y"]},  # changed
+        ],
+    )
+    def test_any_other_fields_decode_afresh_and_replace(self, repeat):
+        known = {}
+        first_fields = {"title": ["alpha"], "author": ["x", "y"]}
+        (first,) = parse_page_json(self.document((3, first_fields)), known).records
+        (second,) = parse_page_json(self.document((3, repeat)), known).records
+        (alone,) = parse_page_json(self.document((3, repeat))).records
+        assert second is not first
+        same_records([second], [alone])
+        assert known[3] is second
+
+    def test_attribute_order_alone_decodes_afresh(self):
+        known = {}
+        first_fields = {"title": ["x"], "author": ["x"]}
+        (first,) = parse_page_json(self.document((3, first_fields)), known).records
+        reordered = {"author": ["x"], "title": ["x"]}
+        (second,) = parse_page_json(self.document((3, reordered)), known).records
+        assert second is not first
+        assert list(second.fields) == ["author", "title"]
+        assert [pair.attribute for pair in second] == ["author", "title"]
 
 
 class TestDescriptor:

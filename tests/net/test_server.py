@@ -109,6 +109,17 @@ class TestQueryRoute:
             service, "/sources/books/query?a=publisher&v=orbit&format=csv"
         ).status == 400
 
+    @pytest.mark.parametrize(
+        "params",
+        ["kw=", "a=title&v=", "a=&v=x", "a=publisher&v=x&a=publisher&v=y"],
+    )
+    def test_malformed_query_400_costs_no_round(self, service, params):
+        before = service.sources["books"].rounds
+        response = get(service, f"/sources/books/query?{params}")
+        assert response.status == 400
+        assert body_json(response)["error"] == "bad-request"
+        assert service.sources["books"].rounds == before
+
     def test_rounds_accumulate(self, service):
         get(service, "/sources/books/query?a=publisher&v=orbit")
         get(service, "/sources/books/query?a=publisher&v=orbit&page=2")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     ServerSpanTracer,
@@ -71,6 +73,34 @@ class TestParseTraceHeader:
         assert parse_trace_header("t;s1/q0/p1") == ("t", "s1/q0/p1", 1, 0, 1, 0)
         assert parse_trace_header("t;s1/q0/p1;x")[5] == 0
         assert parse_trace_header("t;s1/q0/p1;-3")[5] == 0
+        assert parse_trace_header("t;s1/q0/p1;" + "9" * 5000)[5] == 0
+
+    @pytest.mark.parametrize("field", ["s{}/q1/p1", "s1/q{}/p1", "s1/q1/p{}"])
+    def test_oversized_id_means_no_tracing(self, field):
+        assert parse_trace_header("t;" + field.format("5" * 5000)) is None
+
+
+#: Digit runs on both sides of int()'s 4,300-digit limit, any script.
+digit_runs = (
+    st.integers(min_value=0, max_value=10**6).map(str)
+    | st.integers(min_value=4290, max_value=4310).map(lambda n: "7" * n)
+    | st.text(alphabet=st.characters(whitelist_categories=("Nd",)), min_size=1)
+)
+header_like = st.builds(
+    "{};s{}/q{}/p{};{}".format,
+    st.text(max_size=6),
+    digit_runs,
+    digit_runs,
+    digit_runs,
+    st.text(max_size=6) | digit_runs,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.none() | st.text() | header_like)
+def test_property_any_header_parses_to_none_or_a_six_tuple(value):
+    parsed = parse_trace_header(value)
+    assert parsed is None or (isinstance(parsed, tuple) and len(parsed) == 6)
 
 
 class TestTracer:
