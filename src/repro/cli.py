@@ -354,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seal the /truth/* routes (no ground-truth "
                             "leakage to clients)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="event loops serving the port (>1 starts a "
-                            "SourceCluster: SO_REUSEPORT worker processes, "
-                            "or event loops on threads where SO_REUSEPORT "
-                            "is missing)")
+                       help="worker processes serving the port, each with "
+                            "its own event loop and SO_REUSEPORT socket "
+                            "(a SourceCluster; needs SO_REUSEPORT, as on "
+                            "Linux)")
     serve.add_argument("--page-cache", type=int, default=4096,
                        help="rendered-page LRU entries per worker "
                             "(0 disables the cache)")
@@ -1172,10 +1172,10 @@ def _build_served_sources(args):
 
 
 def _command_serve(args, out) -> int:
-    import asyncio
+    import signal
+    import time
 
-    from repro.metrics import MetricsRegistry
-    from repro.net import AsyncSourceServer, SourceService
+    from repro.net.cluster import SourceCluster
     from repro.server.limits import RateLimiter
 
     sources = _build_served_sources(args)
@@ -1192,103 +1192,47 @@ def _command_serve(args, out) -> int:
         if args.rate_limit
         else None
     )
-
-    def announce(url: str) -> None:
-        out.write(f"serving {len(sources)} source(s) at {url}\n")
-        for name in sorted(sources):
-            out.write(f"  {url}/sources/{name}/query\n")
-        out.write("metrics at /metrics; stop with Ctrl-C\n")
-        if hasattr(out, "flush"):
-            out.flush()
-
-    if args.workers > 1:
-        import time as _time
-
-        from repro.net.cluster import SourceCluster
-        from repro.server.limits import RateLimiterSpec
-
-        cluster = SourceCluster(
-            sources,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            rate_limiter=(
-                RateLimiterSpec.from_limiter(limiter)
-                if limiter is not None
-                else None
-            ),
-            expose_truth=not args.no_truth,
-            page_cache_size=args.page_cache,
-            trace_spans=bool(args.trace_out),
-            trace_timings=not args.trace_canonical,
-            trace_path=args.trace_out,
-        )
-        url = cluster.start()
-        out.write(f"cluster: {args.workers} workers ({cluster.mode} mode)\n")
-        announce(url)
-        try:
-            while True:
-                _time.sleep(3600)
-        except KeyboardInterrupt:
-            out.write("shutting down\n")
-        finally:
-            snapshot = cluster.stop()
-            if snapshot is not None:
-                rounds = sum(snapshot.rounds.values())
-                out.write(
-                    f"served {snapshot.requests_served} requests, "
-                    f"{rounds} rounds\n"
-                )
-            if args.trace_out:
-                out.write(
-                    f"server trace written to {args.trace_out} "
-                    f"({len(cluster.trace_groups)} request groups)\n"
-                )
-        return 0
-
-    service = SourceService(
+    cluster = SourceCluster(
         sources,
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
         rate_limiter=limiter,
-        registry=MetricsRegistry(),
         expose_truth=not args.no_truth,
         page_cache_size=args.page_cache,
+        trace_spans=bool(args.trace_out),
+        trace_timings=not args.trace_canonical,
+        trace_path=args.trace_out,
     )
-    if args.trace_out:
-        from repro.obs import ServerSpanTracer
-
-        service.tracer = ServerSpanTracer(
-            include_timings=not args.trace_canonical
-        )
-
-    def finish_trace() -> None:
-        if service.tracer is None:
-            return
-        from repro.obs import write_server_trace
-
-        spans = write_server_trace(
-            args.trace_out,
-            service.tracer.payload(),
-            include_timings=not args.trace_canonical,
-        )
-        out.write(
-            f"server trace written to {args.trace_out} ({spans} spans)\n"
-        )
-
-    async def run() -> None:
-        server = AsyncSourceServer(service, host=args.host, port=args.port)
-        await server.start()
-        announce(server.url)
-        try:
-            await server.serve_forever()
-        finally:
-            await server.close()
-
+    # Ctrl-C stops the server even where it started with SIGINT ignored,
+    # as a background job of a shell script without job control is.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    url = cluster.start()
+    out.write(f"cluster: {args.workers} workers ({cluster.mode} mode)\n")
+    out.write(f"serving {len(sources)} source(s) at {url}\n")
+    for name in sorted(sources):
+        out.write(f"  {url}/sources/{name}/query\n")
+    out.write("metrics at /metrics; stop with Ctrl-C\n")
+    if hasattr(out, "flush"):
+        out.flush()
     try:
-        asyncio.run(run())
+        while True:
+            time.sleep(3600)
     except KeyboardInterrupt:
         out.write("shutting down\n")
     finally:
-        finish_trace()
+        snapshot = cluster.stop()
+        if snapshot is not None:
+            rounds = sum(snapshot.rounds.values())
+            out.write(
+                f"served {snapshot.requests_served} requests, "
+                f"{rounds} rounds\n"
+            )
+        if args.trace_out:
+            out.write(
+                f"server trace written to {args.trace_out} "
+                f"({len(cluster.trace_groups)} request groups)\n"
+            )
     return 0
 
 

@@ -115,6 +115,11 @@ class ConjunctiveQuery:
         cleaned = tuple(sorted(set(self.predicates)))
         if not cleaned:
             raise QueryError("a conjunctive query needs at least one predicate")
+        if not all(pair.attribute and pair.value for pair in cleaned):
+            # The same rule as Query: an empty predicate selects nothing.
+            raise QueryError(
+                "conjunctive predicates need a non-empty attribute and value"
+            )
         attributes = [pair.attribute for pair in cleaned]
         if len(set(attributes)) != len(attributes):
             raise QueryError(

@@ -2,7 +2,7 @@
 
 The paper's live experiment crawls a real web service (Amazon's XML
 API) over the wire; this package gives the reproduction the same real
-network boundary.  Three layers:
+network boundary:
 
 - :mod:`repro.net.server` — a stdlib-only asyncio HTTP front end that
   mounts :class:`~repro.server.webdb.SimulatedWebDatabase` instances at
@@ -23,11 +23,11 @@ network boundary.  Three layers:
 - :mod:`repro.net.loadtest` — an async load-test harness driving
   hundreds-to-thousands of concurrent crawl sessions against one
   service process, reporting throughput and p50/p95/p99 latency;
-- :mod:`repro.net.cluster` — :class:`SourceCluster`, the multi-core
-  lane: N ``SO_REUSEPORT`` worker processes (or, where
-  ``SO_REUSEPORT`` is missing, N event loops on threads) serving one
-  port from the same tables, with a control plane that merges
-  per-worker accounting deterministically;
+- :mod:`repro.net.cluster` — :class:`SourceCluster`, how sources are
+  served (``repro serve`` runs one): N ``SO_REUSEPORT`` worker
+  processes, one by default, serving one port from the same tables,
+  with a control plane that merges per-worker accounting
+  deterministically;
 - :mod:`repro.net.cache` — the rendered-page LRU behind the service's
   ``ETag``/``If-None-Match`` revalidation.
 

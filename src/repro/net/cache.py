@@ -89,9 +89,10 @@ class CachedPage:
 class PageRenderCache:
     """Bounded LRU of :class:`CachedPage` entries.
 
-    Thread-safe under its own lock so the threaded transport fallback
-    and the cluster's multi-loop lane can share one instance; the lock
-    is held only for the dict operation, never while rendering.
+    Thread-safe under its own lock, because a cluster worker's control
+    thread reads :meth:`stats` (snapshots, the debug plane) while the
+    worker's event loop serves pages; the lock is held only for the
+    dict operation, never while rendering.
     """
 
     def __init__(

@@ -1,39 +1,32 @@
-"""Multi-core serving: N workers sharing one port and one set of tables.
+"""Multi-core serving: N worker processes sharing one port and one set of tables.
 
-The single-process :class:`~repro.net.server.AsyncSourceServer` runs
-one event loop on one core; :class:`SourceCluster` scales the same
-service across cores without changing what the wire says:
+:class:`SourceCluster` is how the package serves sources over HTTP,
+from one worker (``repro serve``'s default) to one per core, without
+changing what the wire says.  Each worker process runs its own event
+loop and :class:`~repro.net.server.SourceService`, binds its *own*
+socket to the shared ``(host, port)`` with ``SO_REUSEPORT``, and the
+kernel load-balances accepted connections across workers.  Each worker
+rebuilds every source from a :class:`SourceRecipe` over the caller's
+own :class:`~repro.core.table.RelationalTable` (inherited under
+``fork``, pickled once per worker under ``spawn`` and ``forkserver``),
+so every worker answers from the one table implementation.  Serving
+needs ``SO_REUSEPORT``; where it is missing (Windows) the constructor
+raises ``RuntimeError``.
 
-- **Process lane** (default where ``SO_REUSEPORT`` exists): each worker
-  process runs its own event loop and service, binds its *own* socket
-  to the shared ``(host, port)`` with ``SO_REUSEPORT``, and the kernel
-  load-balances accepted connections across workers.  Each worker
-  rebuilds every source from a :class:`SourceRecipe` over the caller's
-  own :class:`~repro.core.table.RelationalTable` (inherited under
-  ``fork``, pickled once per worker under ``spawn``), so every lane
-  answers from the one table implementation.
-- **Thread lane** (the fallback where ``SO_REUSEPORT`` is missing —
-  Windows — or ``mode="thread"``): one process, N
-  event loops on N threads sharing a single
-  :class:`~repro.net.server.SourceService` (its per-source locks make
-  that safe); a tiny acceptor thread takes connections off one
-  listening socket and deals them round-robin to the loops via
-  :meth:`AsyncSourceServer.adopt`.
+The control plane: :meth:`SourceCluster.snapshot` collects per-worker
+state **in fixed worker order** and :class:`ClusterSnapshot` merges it
+deterministically — counters and histograms add, per-source round
+totals sum, rate-limiter windows concatenate sorted — so
+:meth:`ClusterSnapshot.accounting` is byte-identical for the same
+workload at any worker count (it reports only placement-invariant
+facts: rounds per source, requests by route and status, limiter
+totals — never per-worker cache hit counts or latency buckets, which
+depend on which worker a connection landed on).
 
-Either way the control plane is the same: :meth:`SourceCluster.snapshot`
-collects per-worker state **in fixed worker order** and
-:class:`ClusterSnapshot` merges it deterministically — counters and
-histograms add, per-source round totals sum, rate-limiter windows
-concatenate sorted — so :meth:`ClusterSnapshot.accounting` is
-byte-identical for the same workload at any worker count (it reports
-only placement-invariant facts: rounds per source, requests by route
-and status, limiter totals — never per-worker cache hit counts or
-latency buckets, which depend on which worker a connection landed on).
-
-Politeness caveat: in the process lane each worker enforces the rate
-limit independently (limiter state is process-local), so a clustered
-deployment's effective quota is up to ``workers ×`` the configured
-one.  See :class:`~repro.server.limits.RateLimiterSpec`.
+Politeness caveat: each worker enforces the rate limit independently
+(limiter state is process-local), so a clustered deployment's
+effective quota is up to ``workers ×`` the configured one.  See
+:class:`~repro.server.limits.RateLimiterSpec`.
 """
 
 from __future__ import annotations
@@ -80,10 +73,21 @@ def reuseport_supported() -> bool:
     return hasattr(socket, "SO_REUSEPORT")
 
 
+def _family(host: str) -> int:
+    """The address family of a host to bind: IPv6 for an IPv6 literal."""
+    return socket.AF_INET6 if ":" in host else socket.AF_INET
+
+
 def _reuseport_socket(host: str, port: int) -> socket.socket:
-    """A bound, listening TCP socket with ``SO_REUSEPORT`` set."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    """A bound, listening TCP socket with ``SO_REUSEPORT`` set.
+
+    ``SO_REUSEADDR`` too, as :func:`asyncio.start_server` sets it: the
+    connections it accepts inherit it, so a server restarted on the
+    port binds past the previous run's closing connections.
+    """
+    sock = socket.socket(_family(host), socket.SOCK_STREAM)
     try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((host, port))
         sock.listen(128)
@@ -188,17 +192,20 @@ def _worker_main(
     config: ClusterConfig,
     recipes: List[SourceRecipe],
     conn,
-    placeholder_fd: Optional[int] = None,
+    inherited_fds: Tuple[int, ...] = (),
     uplink=None,
 ) -> None:
     # Under the fork start method the worker inherits the parent's
-    # port-resolving placeholder socket.  That inherited copy is a
-    # member of the SO_REUSEPORT group with nobody accepting on it —
-    # the kernel would hash a share of incoming connections onto it
-    # and they would hang forever.  Close it first thing.
-    if placeholder_fd is not None:
+    # descriptors; close them first thing.  The port-resolving
+    # placeholder socket is a member of the SO_REUSEPORT group with
+    # nobody accepting on it — the kernel would hash a share of
+    # incoming connections onto it and they would hang forever.  The
+    # parent's ends of the control pipes would keep those pipes open
+    # after the parent dies, so the worker would never read EOF and
+    # would outlive it, still serving the port.
+    for fd in inherited_fds:
         try:
-            os.close(placeholder_fd)
+            os.close(fd)
         except OSError:  # pragma: no cover - already closed
             pass
     # The parent coordinates shutdown through the control pipe; a
@@ -455,19 +462,19 @@ class SourceCluster:
     ----------
     sources:
         ``name -> SimulatedWebDatabase``, exactly as for
-        :class:`~repro.net.server.SourceService`.  In the process lane
-        each worker rebuilds its own instances from
-        :class:`SourceRecipe` over the same tables; the caller's
-        instances are left untouched.
+        :class:`~repro.net.server.SourceService`.  Each worker rebuilds
+        its own instances from :class:`SourceRecipe` over the same
+        tables; the caller's instances are left untouched.
     workers:
-        Event loops to run.  1 is legal (useful for like-for-like
-        comparisons against the single-process lane).
+        Worker processes to run, each with one event loop.  1 is what
+        ``repro serve`` runs by default.
     mode:
-        ``"auto"`` (processes where ``SO_REUSEPORT`` exists, threads
-        otherwise), ``"process"``, or ``"thread"``.
+        Only ``"process"`` (the default) is accepted; any other value
+        raises ``ValueError``.
     rate_limiter:
-        A spec (not a live limiter — limiters do not cross processes);
-        each worker builds its own.
+        A :class:`~repro.server.limits.RateLimiterSpec`; each worker
+        builds its own limiter from it.  A live ``RateLimiter`` is
+        taken as its spec (limiters do not cross processes).
     trace_spans:
         Record server-side request spans (see
         :mod:`repro.obs.server_trace`) on every worker; at ``stop()``
@@ -486,7 +493,7 @@ class SourceCluster:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        mode: str = "auto",
+        mode: str = "process",
         rate_limiter: Optional[RateLimiterSpec] = None,
         expose_truth: bool = True,
         page_cache_size: int = 4096,
@@ -497,9 +504,9 @@ class SourceCluster:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if mode not in ("auto", "process", "thread"):
+        if mode != "process":
             raise ValueError(f"unknown cluster mode {mode!r}")
-        if mode == "process" and not reuseport_supported():
+        if not reuseport_supported():
             raise RuntimeError(
                 "mode='process' needs SO_REUSEPORT, unavailable here"
             )
@@ -509,11 +516,7 @@ class SourceCluster:
         self.host = host
         self.port = port
         self.workers = workers
-        self.mode = (
-            mode
-            if mode != "auto"
-            else ("process" if reuseport_supported() else "thread")
-        )
+        self.mode = mode
         self.limiter_spec = rate_limiter
         self.expose_truth = expose_truth
         self.page_cache_size = page_cache_size
@@ -526,7 +529,6 @@ class SourceCluster:
         self.trace_groups: List[dict] = []
         self._started = False
         self._stopped = False
-        # Process lane state
         self._processes: List[multiprocessing.Process] = []
         self._pipes: List = []
         self._uplinks: List = []
@@ -537,27 +539,18 @@ class SourceCluster:
         self._broker: Optional[threading.Thread] = None
         self._broker_stop = threading.Event()
         self.final_snapshot: Optional[ClusterSnapshot] = None
-        # Thread lane state
-        self._service: Optional[SourceService] = None
-        self._listen_sock: Optional[socket.socket] = None
-        self._loops: List[asyncio.AbstractEventLoop] = []
-        self._servers: List[AsyncSourceServer] = []
-        self._threads: List[threading.Thread] = []
-        self._acceptor: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     @property
     def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        return f"http://{host}:{self.port}"
 
     def start(self) -> str:
         if self._started:
             raise RuntimeError("cluster already started")
         self._started = True
-        if self.mode == "process":
-            self._start_processes()
-        else:
-            self._start_threads()
+        self._start_processes()
         return self.url
 
     def stop(self) -> Optional[ClusterSnapshot]:
@@ -565,32 +558,25 @@ class SourceCluster:
         if not self._started or self._stopped:
             return self.final_snapshot
         self._stopped = True
-        if self.mode == "process":
-            self._stop_processes()
-        else:
-            self._stop_threads()
+        self._stop_processes()
         return self.final_snapshot
 
     def snapshot(self) -> ClusterSnapshot:
         """Collect live per-worker accounting, in worker order."""
         if not self._started or self._stopped:
             raise RuntimeError("cluster is not running")
-        if self.mode == "process":
-            with self._control_lock:
-                payloads = []
-                for conn in self._pipes:
-                    conn.send(("snapshot",))
-                for index, conn in enumerate(self._pipes):
-                    kind, payload = self._recv(conn, index)
-                    if kind != "snapshot":
-                        raise RuntimeError(
-                            f"worker {index} answered {kind!r} to snapshot"
-                        )
-                    payloads.append(payload)
-            return ClusterSnapshot(payloads)
-        assert self._service is not None
-        served = sum(server.requests_served for server in self._servers)
-        return ClusterSnapshot([_service_snapshot(self._service, served)])
+        with self._control_lock:
+            payloads = []
+            for conn in self._pipes:
+                conn.send(("snapshot",))
+            for index, conn in enumerate(self._pipes):
+                kind, payload = self._recv(conn, index)
+                if kind != "snapshot":
+                    raise RuntimeError(
+                        f"worker {index} answered {kind!r} to snapshot"
+                    )
+                payloads.append(payload)
+        return ClusterSnapshot(payloads)
 
     def __enter__(self) -> str:
         return self.start()
@@ -599,13 +585,21 @@ class SourceCluster:
         self.stop()
 
     # ------------------------------------------------------------------
-    # Process lane
+    # Worker processes
     # ------------------------------------------------------------------
     def _start_processes(self) -> None:
+        # A plain bind fails on a port another server listens on.  The
+        # placeholder's SO_REUSEPORT bind alone would join that server's
+        # group, and the kernel would split the connections between the
+        # two; a probe bound to port 0 picks a port nobody listens on.
+        with socket.socket(_family(self.host), socket.SOCK_STREAM) as probe:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind((self.host, self.port))
+            port = probe.getsockname()[1]
         # Resolve port 0 up front with a placeholder REUSEPORT socket
         # so every worker binds the same concrete port; the placeholder
         # stays open (parking the port) until all workers are ready.
-        placeholder = _reuseport_socket(self.host, self.port)
+        placeholder = _reuseport_socket(self.host, port)
         self.host, self.port = placeholder.getsockname()[:2]
         try:
             recipes = [
@@ -624,23 +618,33 @@ class SourceCluster:
                 workers=self.workers,
             )
             context = multiprocessing.get_context()
-            # fork inherits the placeholder's FD into every worker;
-            # spawn does not (fresh interpreter, CLOEXEC semantics).
-            placeholder_fd = (
-                placeholder.fileno()
-                if context.get_start_method() == "fork"
-                else None
-            )
+            # fork hands every worker the parent's descriptors (see
+            # _worker_main); spawn and forkserver do not (fresh
+            # interpreter, CLOEXEC semantics), and they pickle the
+            # recipes once per worker.
+            forked = context.get_start_method() == "fork"
             for index in range(self.workers):
                 parent_conn, child_conn = context.Pipe()
                 parent_uplink, child_uplink = context.Pipe()
+                parent_ends = [
+                    placeholder,
+                    *self._pipes,
+                    *self._uplinks,
+                    parent_conn,
+                    parent_uplink,
+                ]
+                inherited_fds = (
+                    tuple(end.fileno() for end in parent_ends)
+                    if forked
+                    else ()
+                )
                 process = context.Process(
                     target=_worker_main,
                     args=(
                         config,
                         recipes,
                         child_conn,
-                        placeholder_fd,
+                        inherited_fds,
                         child_uplink,
                     ),
                     name=f"repro-net-worker-{index}",
@@ -811,114 +815,3 @@ class SourceCluster:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
-
-    # ------------------------------------------------------------------
-    # Thread lane
-    # ------------------------------------------------------------------
-    def _start_threads(self) -> None:
-        limiter = (
-            self.limiter_spec.build() if self.limiter_spec is not None else None
-        )
-        self._service = SourceService(
-            self.sources,
-            rate_limiter=limiter,
-            registry=MetricsRegistry(),
-            expose_truth=self.expose_truth,
-            page_cache_size=self.page_cache_size,
-        )
-        if self.trace_spans:
-            # One shared service → its tracer already sees every
-            # request; "merged" and "local" views coincide, so no
-            # debug provider is needed in this lane.
-            self._service.tracer = ServerSpanTracer(
-                include_timings=self.trace_timings
-            )
-        self._service.cluster_info = {
-            "mode": "thread",
-            "workers": self.workers,
-        }
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, self.port))
-        sock.listen(128)
-        sock.setblocking(True)
-        self.host, self.port = sock.getsockname()[:2]
-        self._listen_sock = sock
-        ready = threading.Barrier(self.workers + 1)
-        for index in range(self.workers):
-            loop = asyncio.new_event_loop()
-            server = AsyncSourceServer(
-                self._service,
-                host=self.host,
-                port=self.port,
-                idle_timeout=self.idle_timeout,
-            )
-            thread = threading.Thread(
-                target=self._run_loop,
-                args=(loop, ready),
-                name=f"repro-net-loop-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._loops.append(loop)
-            self._servers.append(server)
-            self._threads.append(thread)
-        ready.wait(timeout=CONTROL_TIMEOUT)
-        self._acceptor = threading.Thread(
-            target=self._accept_loop, name="repro-net-acceptor", daemon=True
-        )
-        self._acceptor.start()
-
-    @staticmethod
-    def _run_loop(loop: asyncio.AbstractEventLoop, ready) -> None:
-        asyncio.set_event_loop(loop)
-        loop.call_soon(ready.wait)
-        loop.run_forever()
-
-    def _accept_loop(self) -> None:
-        index = 0
-        assert self._listen_sock is not None
-        while True:
-            try:
-                client_sock, _addr = self._listen_sock.accept()
-            except OSError:  # listening socket closed: shutting down
-                return
-            client_sock.setblocking(False)
-            loop = self._loops[index % self.workers]
-            server = self._servers[index % self.workers]
-            index += 1
-            asyncio.run_coroutine_threadsafe(server.adopt(client_sock), loop)
-
-    def _stop_threads(self) -> None:
-        assert self._service is not None
-        served = sum(server.requests_served for server in self._servers)
-        if self._listen_sock is not None:
-            # close() alone does not wake a thread blocked in accept()
-            # on Linux; shutdown() does.
-            try:
-                self._listen_sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._listen_sock.close()
-        if self._acceptor is not None:
-            self._acceptor.join(timeout=CONTROL_TIMEOUT)
-        for server, loop in zip(self._servers, self._loops):
-            try:
-                asyncio.run_coroutine_threadsafe(server.close(), loop).result(
-                    timeout=CONTROL_TIMEOUT
-                )
-            except Exception:  # noqa: BLE001 - close must not raise
-                pass
-            loop.call_soon_threadsafe(loop.stop)
-        for thread in self._threads:
-            thread.join(timeout=CONTROL_TIMEOUT)
-        for loop in self._loops:
-            loop.close()
-        served = max(
-            served, sum(server.requests_served for server in self._servers)
-        )
-        if self.trace_spans and self._service.tracer is not None:
-            self._finish_trace(self._service.tracer.payload())
-        self.final_snapshot = ClusterSnapshot(
-            [_service_snapshot(self._service, served)]
-        )

@@ -16,11 +16,10 @@ Layering:
   communication round exactly like a full response;
 - :class:`AsyncSourceServer` speaks HTTP/1.1 over
   :func:`asyncio.start_server` (stdlib only): keep-alive connections,
-  per-connection read timeouts, graceful shutdown that closes every
-  open socket and cancels every handler task.  It can also listen on a
-  caller-provided socket (the ``SO_REUSEPORT`` cluster lane,
-  :mod:`repro.net.cluster`) or adopt already-accepted connections (the
-  cluster's thread lane, for platforms without ``SO_REUSEPORT``);
+  a read timeout on each request head, graceful shutdown that closes
+  every open socket and cancels every handler task.  Each worker of
+  :class:`~repro.net.cluster.SourceCluster` (what ``repro serve``
+  runs) listens through one on its own ``SO_REUSEPORT`` socket;
 - :class:`ServerThread` runs an :class:`AsyncSourceServer` on a
   background thread, which is how tests and the load-test harness get
   a live service inside one process.
@@ -157,11 +156,12 @@ class SourceService:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.expose_truth = expose_truth
         # Locking is sharded per source: SimulatedWebDatabase's order
-        # cache and communication log are not thread-safe, and the
-        # cluster's thread lane runs several event loops over one
-        # service — but requests to *different* sources share no
-        # mutable state, so they never contend.  A single asyncio
-        # server is single-threaded, where these locks are uncontended.
+        # cache and communication log are not thread-safe, and a
+        # cluster worker's control thread reads every source's round
+        # count (snapshots, the debug plane) while the worker's event
+        # loop serves requests.  Requests to *different* sources share
+        # no mutable state, so they never contend; the loop itself is
+        # single-threaded, so serving alone never contends either.
         self._locks: Dict[str, threading.RLock] = {
             name: threading.RLock() for name in self.sources
         }
@@ -690,8 +690,8 @@ class AsyncSourceServer:
         """Bind and start accepting; returns the bound (host, port).
 
         Pass a pre-bound listening ``sock`` to serve on a socket the
-        caller configured (the cluster lane binds its own
-        ``SO_REUSEPORT`` sockets so sibling workers share one port).
+        caller configured (each cluster worker binds its own
+        ``SO_REUSEPORT`` socket so sibling workers share one port).
         """
         if sock is not None:
             self._server = await asyncio.start_server(
@@ -705,31 +705,9 @@ class AsyncSourceServer:
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
 
-    async def adopt(self, sock) -> None:
-        """Serve one already-accepted connection socket.
-
-        The cluster's thread lane accepts on a single parent
-        socket and hands connections to worker loops round-robin; this
-        wraps the raw socket in the same stream pair
-        ``asyncio.start_server`` would have produced and runs the
-        normal keep-alive handler on it.
-        """
-        loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader(loop=loop)
-        protocol = asyncio.StreamReaderProtocol(reader, loop=loop)
-        transport, _ = await loop.connect_accepted_socket(
-            lambda: protocol, sock
-        )
-        writer = asyncio.StreamWriter(transport, protocol, reader, loop)
-        await self._on_connection(reader, writer)
-
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
 
     async def close(self) -> None:
         if self._server is not None:
@@ -787,20 +765,29 @@ class AsyncSourceServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str]]]:
+        """The next request head, or ``None`` to close the connection.
+
+        The whole head, request line and headers together, must arrive
+        within ``idle_timeout``.  A head that stalls, breaks a size
+        limit, or does not parse closes the connection unanswered.
+        """
         try:
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.idle_timeout
+            return await asyncio.wait_for(
+                self._read_head(reader), timeout=self.idle_timeout
             )
-        except (asyncio.TimeoutError, TimeoutError):
+        except (asyncio.TimeoutError, TimeoutError, ValueError):
+            # ValueError: a request line without three parts, or a line
+            # past the stream's buffer limit (64 KiB), which readline()
+            # reports as ValueError.
             return None
-        if not line:
+
+    async def _read_head(
+        self, reader: asyncio.StreamReader
+    ) -> Optional[Tuple[str, str, Dict[str, str]]]:
+        line = await reader.readline()
+        if not line or len(line) > self.MAX_REQUEST_LINE:
             return None
-        if len(line) > self.MAX_REQUEST_LINE:
-            return None
-        try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            return None
+        method, target, _version = line.decode("latin-1").split(None, 2)
         headers: Dict[str, str] = {}
         total = 0
         while True:

@@ -119,9 +119,10 @@ class RateLimiter:
     ban's remaining time as ``retry_after``.  An admitted request
     resets the violation count — only sustained hammering escalates.
 
-    All state is guarded by one lock: the asyncio front end is
-    single-threaded but the cluster's thread lane (and tests) hit the
-    limiter from many threads at once.
+    All state is guarded by one lock: a cluster worker's control thread
+    reads :meth:`runtime_state` (snapshots, the debug plane) while the
+    worker's event loop admits requests, and tests hit the limiter from
+    many threads at once.
 
     ``clock`` is injectable (monotonic seconds) so tests can step time
     exactly; production uses :func:`time.monotonic`.

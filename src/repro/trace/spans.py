@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.errors import ReproError
 
@@ -131,6 +131,9 @@ def load_trace(path: PathLike) -> Trace:
         )
     tasks: List[TraceTask] = []
     current: Optional[TraceTask] = None
+    # The span ids seen so far in the current task, per step: a parent
+    # must be one of them.
+    step_ids: Dict[int, set] = {}
     for number, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -140,8 +143,10 @@ def load_trace(path: PathLike) -> Trace:
                 label=payload["task"], seed_index=payload.get("seed_index")
             )
             tasks.append(current)
+            step_ids = {}
             continue
-        _check_span(payload, number, current.spans if current else None)
+        previous = current.spans if current else None
+        _check_span(payload, number, previous, step_ids)
         if current is None:
             current = TraceTask()
             tasks.append(current)
@@ -150,8 +155,12 @@ def load_trace(path: PathLike) -> Trace:
 
 
 def _check_span(
-    span: dict, number: int, previous: Optional[List[dict]]
+    span: dict,
+    number: int,
+    previous: Optional[List[dict]],
+    step_ids: Dict[int, set],
 ) -> None:
+    """Check one span against the task so far; records its id."""
     for key in SPAN_KEYS:
         if key not in span:
             raise TraceError(f"line {number}: span missing key {key!r}")
@@ -168,21 +177,23 @@ def _check_span(
                 f"line {number}: seq {span['seq']} not increasing "
                 f"(previous {last['seq']})"
             )
+    known = step_ids.setdefault(span["step"], set())
     parent = span["parent"]
-    if parent is not None:
-        # A parent must already exist within the same step's tree.
-        step_spans = previous or []
-        known = {
-            s["id"] for s in step_spans if s["step"] == span["step"]
-        }
-        if parent not in known:
-            raise TraceError(
-                f"line {number}: parent {parent!r} of {span['id']!r} "
-                f"not seen earlier in step {span['step']}"
-            )
+    # A parent must already exist within the same step's tree.
+    if parent is not None and parent not in known:
+        raise TraceError(
+            f"line {number}: parent {parent!r} of {span['id']!r} "
+            f"not seen earlier in step {span['step']}"
+        )
     timings = span.get("t")
     if timings is not None and not isinstance(timings, dict):
         raise TraceError(f"line {number}: t must be an object")
+    try:
+        known.add(span["id"])
+    except TypeError:
+        raise TraceError(
+            f"line {number}: span id {span['id']!r} must be a JSON scalar"
+        ) from None
 
 
 def validate_trace_jsonl(path: PathLike) -> int:

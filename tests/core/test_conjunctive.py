@@ -40,6 +40,20 @@ class TestConstruction:
         with pytest.raises(QueryError):
             ConjunctiveQuery.of()
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [AV("make", ""), AV("model", "corolla")],
+            [AV("make", " \t "), AV("model", "corolla")],
+            [AV("", "toyota"), AV("model", "corolla")],
+            [AV("  ", "toyota")],
+        ],
+    )
+    def test_empty_predicate_rejected(self, pairs):
+        """As for :class:`Query`: no empty attribute or value."""
+        with pytest.raises(QueryError):
+            ConjunctiveQuery.of(*pairs)
+
     def test_not_keyword(self):
         assert not ConjunctiveQuery.equalities(a="x").is_keyword
 

@@ -204,54 +204,6 @@ class TestServerSpansOnQueryPath:
         assert traced.body == plain.body
 
 
-class TestThreadClusterDebug:
-    def test_debug_endpoints_and_merged_rounds(self, small_table):
-        cluster = SourceCluster(
-            make_sources(small_table), workers=2, mode="thread"
-        )
-        with cluster as url:
-            result = crawl_remote_traced(url)
-            health = http_json(f"{url}/debug/health")
-            assert health == {"ok": True, "mode": "thread", "workers": 2}
-            status = http_json(f"{url}/debug/status")
-            assert status["rounds"]["total"] == result.communication_rounds
-            rounds = scraped_rounds(http_text(f"{url}/metrics"))
-            assert rounds == result.communication_rounds
-
-    def test_stitched_trace_end_to_end(self, small_table, tmp_path):
-        server_trace = tmp_path / "server.jsonl"
-        client_trace = tmp_path / "client.jsonl"
-        cluster = SourceCluster(
-            make_sources(small_table),
-            workers=2,
-            mode="thread",
-            trace_spans=True,
-            trace_timings=False,
-            trace_path=str(server_trace),
-        )
-        with cluster as url:
-            crawl_remote_traced(url, client_trace=client_trace)
-        assert validate_trace_jsonl(server_trace) > 0
-        stitched = tmp_path / "stitched.jsonl"
-        stats = stitch_traces(client_trace, server_trace, stitched)
-        assert validate_trace_jsonl(stitched) == stats["total_spans"]
-        trace = load_trace(stitched)
-        fetches = [s for s in trace.spans if s["name"] == "fetch"]
-        requests = [s for s in trace.spans if s["name"] == "request"]
-        assert fetches
-        # Every client fetch span gained its server-side child...
-        fetch_ids = {s["id"] for s in fetches}
-        assert {s["parent"] for s in requests} == fetch_ids
-        assert stats["stitched_groups"] == len(fetches)
-        # ...and the analyzer sees the stitched lanes.
-        from repro.trace import lane_breakdown
-
-        lanes = lane_breakdown(trace)
-        assert lanes is not None
-        assert lanes["requests"] == len(requests)
-        assert lanes["fetches"] == len(fetches)
-
-
 @needs_reuseport
 class TestProcessClusterDebug:
     def test_metrics_scrape_is_merged_across_workers(self, small_table):
@@ -330,3 +282,36 @@ class TestProcessClusterDebug:
                 entry["id"].split("/")[-1].startswith("srv")
                 for entry in spans["recent"]
             )
+
+    def test_stitched_trace_end_to_end(self, small_table, tmp_path):
+        server_trace = tmp_path / "server.jsonl"
+        client_trace = tmp_path / "client.jsonl"
+        cluster = SourceCluster(
+            make_sources(small_table),
+            workers=2,
+            mode="process",
+            trace_spans=True,
+            trace_timings=False,
+            trace_path=str(server_trace),
+        )
+        with cluster as url:
+            crawl_remote_traced(url, client_trace=client_trace)
+        assert validate_trace_jsonl(server_trace) > 0
+        stitched = tmp_path / "stitched.jsonl"
+        stats = stitch_traces(client_trace, server_trace, stitched)
+        assert validate_trace_jsonl(stitched) == stats["total_spans"]
+        trace = load_trace(stitched)
+        fetches = [s for s in trace.spans if s["name"] == "fetch"]
+        requests = [s for s in trace.spans if s["name"] == "request"]
+        assert fetches
+        # Every client fetch span gained its server-side child...
+        fetch_ids = {s["id"] for s in fetches}
+        assert {s["parent"] for s in requests} == fetch_ids
+        assert stats["stitched_groups"] == len(fetches)
+        # ...and the analyzer sees the stitched lanes.
+        from repro.trace import lane_breakdown
+
+        lanes = lane_breakdown(trace)
+        assert lanes is not None
+        assert lanes["requests"] == len(requests)
+        assert lanes["fetches"] == len(fetches)

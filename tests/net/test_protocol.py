@@ -85,6 +85,9 @@ class TestQueryParams:
             {"a": ["title"], "v": [""]},
             {"a": [""], "v": ["x"]},
             {"a": ["brand", "brand"], "v": ["x", "y"]},
+            {"a": ["actor", "company"], "v": ["", "x"]},
+            {"a": ["actor", "company"], "v": ["  ", "x"]},
+            {"a": ["", "company"], "v": ["x", "y"]},
         ],
     )
     def test_malformed_query_is_a_protocol_error(self, params):
@@ -105,6 +108,13 @@ def test_property_params_decode_to_a_query_or_raise_a_protocol_error(params):
     except ProtocolError:
         return
     assert isinstance(query, (Query, ConjunctiveQuery))
+    if isinstance(query, ConjunctiveQuery):
+        predicates = [(pair.attribute, pair.value) for pair in query.predicates]
+    else:
+        predicates = [(query.attribute, query.value)]
+    for attribute, value in predicates:
+        assert attribute is None or attribute
+        assert value
 
 
 def sample_page(report_total=True):

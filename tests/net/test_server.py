@@ -1,7 +1,10 @@
 """Tests for the HTTP front end: routing, wire formats, limits, transport."""
 
 import json
+import logging
+import socket
 import threading
+import time
 import urllib.request
 from urllib.error import HTTPError
 from urllib.parse import urlencode
@@ -9,7 +12,7 @@ from urllib.parse import urlencode
 import pytest
 
 from repro.core import Query
-from repro.net import ServerThread, SourceService
+from repro.net import AsyncSourceServer, ServerThread, SourceService
 from repro.net.protocol import parse_page_json
 from repro.server import RateLimiter, SimulatedWebDatabase, parse_page
 
@@ -111,7 +114,15 @@ class TestQueryRoute:
 
     @pytest.mark.parametrize(
         "params",
-        ["kw=", "a=title&v=", "a=&v=x", "a=publisher&v=x&a=publisher&v=y"],
+        [
+            "kw=",
+            "a=title&v=",
+            "a=&v=x",
+            "a=publisher&v=x&a=publisher&v=y",
+            "a=title&v=&a=publisher&v=x",
+            "a=title&v=%20%20&a=publisher&v=x",
+            "a=&v=x&a=publisher&v=y",
+        ],
     )
     def test_malformed_query_400_costs_no_round(self, service, params):
         before = service.sources["books"].rounds
@@ -282,11 +293,112 @@ class TestAsyncTransport:
         host, port = url.split("//")[1].split(":")
         thread.stop()
         # The port must be rebindable immediately (no leaked listener).
-        import socket
-
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             probe.bind((host, int(port)))
         finally:
             probe.close()
+
+
+def request_line(length):
+    """``GET /aaa… HTTP/1.1\\r\\n``, exactly ``length`` bytes long."""
+    head, tail = b"GET /", b" HTTP/1.1\r\n"
+    return head + b"a" * (length - len(head) - len(tail)) + tail
+
+
+class TestRequestHead:
+    """A request head that stalls or breaks a limit is closed unanswered.
+
+    Raw sockets, because an HTTP client library would refuse to send
+    such heads.  The server's ``idle_timeout`` is shortened on its
+    instance so a stall is noticed quickly.
+    """
+
+    IDLE_TIMEOUT = 0.5
+
+    @pytest.fixture()
+    def address(self, service):
+        thread = ServerThread(service)
+        thread.server.idle_timeout = self.IDLE_TIMEOUT
+        url = thread.start()
+        host, port = url.split("//")[1].split(":")
+        yield host, int(port)
+        thread.stop()
+
+    @staticmethod
+    def exchange(address, payload):
+        """Send ``payload``; return all the server sends before closing.
+
+        Raises ``socket.timeout`` when the server keeps the connection
+        open for 5 s.
+        """
+        received = b""
+        with socket.create_connection(address, timeout=5.0) as sock:
+            try:
+                sock.sendall(payload)
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    received += chunk
+            except (BrokenPipeError, ConnectionResetError):
+                # Closing with unread bytes buffered resets the socket.
+                pass
+        return received
+
+    def assert_still_serving(self, address):
+        answer = self.exchange(
+            address, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        assert answer.startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_request_line_at_the_limit_is_answered(self, address):
+        line = request_line(AsyncSourceServer.MAX_REQUEST_LINE)
+        answer = self.exchange(address, line + b"Connection: close\r\n\r\n")
+        assert answer.startswith(b"HTTP/1.1 404 Not Found\r\n")
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            pytest.param(
+                request_line(AsyncSourceServer.MAX_REQUEST_LINE + 1)
+                + b"\r\n",
+                id="request-line-16KiB-plus-1",
+            ),
+            pytest.param(
+                request_line(70 * 1024) + b"\r\n",
+                id="request-line-70KiB",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nX-Big: "
+                + b"b" * (70 * 1024)
+                + b"\r\n\r\n",
+                id="header-line-70KiB",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(
+                    b"X-Pad-%d: %s\r\n" % (n, b"p" * 1000) for n in range(70)
+                )
+                + b"\r\n",
+                id="headers-70KiB-in-total",
+            ),
+        ],
+    )
+    def test_oversized_head_is_closed_unanswered(self, address, head, caplog):
+        with caplog.at_level(logging.ERROR):
+            assert self.exchange(address, head) == b""
+            self.assert_still_serving(address)
+        # readline() raises ValueError on a line past asyncio's 64 KiB
+        # stream limit; escaping the handler, asyncio would log it with
+        # a traceback.
+        assert [r.getMessage() for r in caplog.records] == []
+
+    def test_stalled_head_is_closed_after_the_idle_timeout(self, address):
+        started = time.monotonic()
+        assert self.exchange(address, b"GET /healthz HTTP/1.1\r\n") == b""
+        elapsed = time.monotonic() - started
+        assert self.IDLE_TIMEOUT <= elapsed + 0.05
+        assert elapsed < self.IDLE_TIMEOUT + 2.0
+        self.assert_still_serving(address)

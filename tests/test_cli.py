@@ -1,16 +1,55 @@
 """Tests for the command-line interface."""
 
 import io as stdio
+import json
+import os
+import pathlib
+import re
+import select
+import signal
+import socket
+import subprocess
+import sys
+import time
+import urllib.parse
+import urllib.request
 
 import pytest
 
+import repro
 from repro.cli import main
+from repro.net.cluster import reuseport_supported
+from repro.trace import validate_trace_jsonl
 
 
 def run_cli(*argv):
     out = stdio.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def read_output(process, until=None, timeout=60.0):
+    """Read a child's stdout until ``until`` appears, or to EOF if None.
+
+    EOF comes once every process holding the pipe, the child's own
+    children included, has closed it.
+    """
+    deadline = time.monotonic() + timeout
+    seen = b""
+    while until is None or until not in seen:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not select.select(
+            [process.stdout], [], [], remaining
+        )[0]:
+            wanted = "EOF" if until is None else repr(until)
+            raise AssertionError(f"no {wanted} in {timeout}s: {seen!r}")
+        chunk = os.read(process.stdout.fileno(), 4096)
+        if not chunk:
+            if until is None:
+                break
+            raise AssertionError(f"no {until!r} before EOF: {seen!r}")
+        seen += chunk
+    return seen.decode("utf-8")
 
 
 class TestDatasets:
@@ -184,6 +223,94 @@ class TestNetworkLane:
         code, text = run_cli("serve")
         assert code == 2
         assert "nothing to serve" in text
+
+    @pytest.fixture()
+    def serve(self):
+        """Start ``repro serve`` in a session of its own; yields a starter.
+
+        The child starts with SIGINT ignored, as a shell script's
+        background job does (CI starts it so).  Teardown kills the
+        whole session, so no worker outlives a failed test.
+        """
+        if not reuseport_supported():
+            pytest.skip("SO_REUSEPORT unavailable")
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        ignoring_sigint = (
+            "import os, signal, sys; "
+            "signal.signal(signal.SIGINT, signal.SIG_IGN); "
+            "os.execv(sys.executable, sys.argv[1:])"
+        )
+        started = []
+
+        def start(*extra):
+            process = subprocess.Popen(
+                [
+                    sys.executable, "-c", ignoring_sigint,
+                    sys.executable, "-m", "repro", "serve",
+                    "--dataset", "imdb", "--records", "200", "--seed", "1",
+                    "--port", "0", *extra,
+                ],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                env=env,
+                start_new_session=True,
+            )
+            started.append(process)
+            banner = read_output(process, until=b"stop with Ctrl-C")
+            url = re.search(r"source\(s\) at (\S+)", banner).group(1)
+            return process, banner, url
+
+        yield start
+        for process in started:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait()
+            process.stdout.close()
+
+    def test_serve_runs_a_one_worker_cluster(self, serve, tmp_path):
+        """At its default ``--workers 1``, ``serve`` starts a cluster."""
+        trace = tmp_path / "server.jsonl"
+        process, banner, url = serve(
+            "--trace-out", str(trace), "--trace-canonical"
+        )
+        assert banner.startswith("cluster: 1 workers (process mode)\n")
+        health = f"{url}/debug/health"
+        with urllib.request.urlopen(health, timeout=10) as answer:
+            assert json.loads(answer.read()) == {
+                "ok": True, "mode": "process", "workers": 1
+            }
+        target = f"{url}/sources/imdb/truth/sample?n=1&seed=1"
+        with urllib.request.urlopen(target, timeout=10) as answer:
+            ((attribute, value),) = json.loads(answer.read())["values"]
+        query = f"{url}/sources/imdb/query?" + urllib.parse.urlencode(
+            {"a": attribute, "v": value}
+        )
+        with urllib.request.urlopen(query, timeout=10) as answer:
+            assert answer.status == 200
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=60) == 0
+        assert read_output(process).splitlines() == [
+            "shutting down",
+            "served 3 requests, 1 rounds",
+            f"server trace written to {trace} (0 request groups)",
+        ]
+        assert validate_trace_jsonl(trace) == 0
+
+    def test_killed_serve_leaves_no_worker_behind(self, serve):
+        """Workers notice their parent's death and stop serving."""
+        process, _banner, url = serve("--workers", "2")
+        port = int(url.rsplit(":", 1)[1])
+        process.kill()
+        process.wait()
+        read_output(process, timeout=30)  # every worker has exited
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5)
 
     def test_remote_crawl_matches_local_crawl(self, live_service):
         local_code, local_text = run_cli(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.checkpoint import CrawlCheckpoint
 from repro.runtime.crawler import CHECKPOINT_FILE
@@ -128,6 +130,74 @@ class TestValidation:
         )
         with pytest.raises(TraceError, match="parent"):
             validate_trace_jsonl(path)
+
+    def test_rejects_a_list_as_span_id(self, tmp_path):
+        path = self.write(tmp_path, [self.span(id=["s1"])])
+        with pytest.raises(TraceError, match="span id"):
+            validate_trace_jsonl(path)
+
+
+def reference_parent_error(lines):
+    """The first parent-rule error in ``lines``, or ``None``.
+
+    The rule read literally: for every span, the ids of all earlier
+    spans of its step in the task, rebuilt each time.  Quadratic, and
+    obviously right.
+    """
+    task = []
+    for number, line in enumerate(lines, start=2):
+        if "task" in line:
+            task = []
+            continue
+        parent = line["parent"]
+        known = {s["id"] for s in task if s["step"] == line["step"]}
+        if parent is not None and parent not in known:
+            return (
+                f"line {number}: parent {parent!r} of {line['id']!r} "
+                f"not seen earlier in step {line['step']}"
+            )
+        task.append(line)
+    return None
+
+
+trace_ids = st.sampled_from(["s1", "s1/q0", "s1/q0/p1", "s2", "s2/q0", "x"])
+trace_lines = st.lists(
+    st.one_of(
+        st.fixed_dictionaries({"task": st.sampled_from(["gl", "bfs"])}),
+        st.fixed_dictionaries(
+            {
+                "id": trace_ids,
+                "parent": st.none() | trace_ids,
+                "step": st.integers(0, 2),
+            }
+        ),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_lines)
+def test_property_parent_rule_matches_the_reference(tmp_path_factory, lines):
+    """The per-step id sets accept and reject exactly what the rebuild did."""
+    spans = []
+    for seq, line in enumerate(lines):
+        if "task" not in line:
+            line = dict(line, name="step", seq=seq, attrs={})
+        spans.append(line)
+    path = tmp_path_factory.getbasetemp() / "parent-rule.jsonl"
+    path.write_text(
+        "\n".join(json.dumps(x) for x in [{"schema": TRACE_SCHEMA}, *spans])
+        + "\n"
+    )
+    expected = reference_parent_error(spans)
+    if expected is None:
+        count = validate_trace_jsonl(path)
+        assert count == sum("task" not in line for line in spans)
+    else:
+        with pytest.raises(TraceError) as error:
+            validate_trace_jsonl(path)
+        assert str(error.value) == expected
 
 
 class TestAlign:
