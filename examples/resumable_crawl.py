@@ -16,11 +16,11 @@ from pathlib import Path
 from repro.analysis.reports import render_runtime_metrics
 from repro.crawler import CrawlerEngine
 from repro.datasets import generate_ebay
+from repro.metrics import TelemetrySink
 from repro.policies import GreedyLinkSelector
 from repro.runtime import (
     CrashAfterSteps,
     EventBus,
-    MetricsAggregator,
     RuntimeCrawler,
     SimulatedCrash,
 )
@@ -82,16 +82,16 @@ def main() -> None:
 
     # Recovery: fresh server + selector, state rebuilt from disk.  The
     # journal is replayed through the selector itself, so it re-proposes
-    # exactly the queries the dead crawl issued.
-    bus = EventBus()
-    metrics = bus.attach(MetricsAggregator())
+    # exactly the queries the dead crawl issued, and the telemetry sink
+    # counts each replayed step as if it had watched it live.
+    telemetry = TelemetrySink()
     fresh_server, _ = make_parts(table)
     resumed = RuntimeCrawler.resume(
         checkpoint_dir,
         fresh_server,
         GreedyLinkSelector(),
         backoff=ExponentialBackoff.charging(seconds_per_round=10.0),
-        bus=bus,
+        telemetry=telemetry,
     )
     print(f"resumed at step: {resumed.engine.steps} "
           f"(lost only the in-flight step)")
@@ -103,7 +103,8 @@ def main() -> None:
     match = "bit-identical" if result == reference else "MISMATCH"
     print(f"vs reference:    {match}")
     print()
-    print(render_runtime_metrics(metrics))
+    # Retries are not journaled: the roll-up counts only the live part's.
+    print(render_runtime_metrics(telemetry.registry))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from repro.core.table import RelationalTable
 from repro.crawler.engine import CrawlResult
 from repro.crawler.localdb import LocalDatabase
 from repro.experiments.report import render_table
+from repro.runtime.events import bucket_labels
 
 
 @dataclass(frozen=True)
@@ -196,57 +197,57 @@ def render_speedup_table(events) -> str:
     return text
 
 
-def render_runtime_metrics(metrics) -> str:
-    """Render a :class:`~repro.runtime.events.MetricsAggregator` roll-up.
+#: Roll-up columns after "policy", each the per-policy total of one
+#: :class:`~repro.metrics.telemetry.TelemetrySink` counter.
+_ROLLUP_COLUMNS = {
+    "queries": "crawl_queries_completed_total",
+    "pages": "crawl_pages_fetched_total",
+    "new": "crawl_records_new_total",
+    "aborted": "crawl_queries_aborted_total",
+    "rejected": "crawl_queries_rejected_total",
+    "failed": "crawl_queries_failed_total",
+    "retries": "crawl_retries_total",
+    "ckpts": "crawl_checkpoints_total",
+}
 
-    One row per policy observed on the event bus: queries completed,
-    pages paid for, new records, realized harvest rate, and the
-    abort/reject/fail/retry/checkpoint counters — followed by each
-    policy's per-query cost histogram (pages per completed query).
+
+def render_runtime_metrics(registry) -> str:
+    """Render the per-policy crawl roll-up from a telemetry registry.
+
+    ``registry`` is the :class:`~repro.metrics.registry.MetricsRegistry`
+    a :class:`~repro.metrics.telemetry.TelemetrySink` fills.  One row
+    per policy label: queries completed, pages paid for, new records,
+    realized harvest rate, and the abort/reject/fail/retry/checkpoint
+    counters — followed by each policy's per-query cost histogram
+    (``crawl_pages_per_query``: pages per completed query).
     """
-    summary = metrics.summary()
+    totals: Dict[str, Dict[str, int]] = {}
+    for column, name in _ROLLUP_COLUMNS.items():
+        for key, value in registry.get(name).series():
+            row = totals.setdefault(key[0], dict.fromkeys(_ROLLUP_COLUMNS, 0))
+            row[column] += int(value)
     rows = []
-    for policy, stats in summary["policies"].items():
-        rows.append(
-            [
-                policy,
-                stats["queries"],
-                stats["pages"],
-                stats["new_records"],
-                round(stats["harvest_rate"], 2),
-                stats["aborted"],
-                stats["rejected"],
-                stats["failed"],
-                stats["retries"],
-                stats["checkpoints"],
-            ]
+    for policy, row in sorted(totals.items()):
+        pages = row["pages"]
+        harvest_rate = round(row["new"] / pages, 2) if pages else 0.0
+        counts = list(row.values())
+        rows.append([policy, *counts[:3], harvest_rate, *counts[3:]])
+    headers = list(_ROLLUP_COLUMNS)
+    parts = [
+        render_table(
+            ["policy", *headers[:3], "new/page", *headers[3:]],
+            rows,
+            title="Event-bus crawl metrics",
         )
-    text = render_table(
-        [
-            "policy",
-            "queries",
-            "pages",
-            "new",
-            "new/page",
-            "aborted",
-            "rejected",
-            "failed",
-            "retries",
-            "ckpts",
-        ],
-        rows,
-        title="Event-bus crawl metrics",
-    )
-    parts = [text]
-    for policy, histogram in sorted(
-        metrics.histograms.items(), key=lambda item: item[0] or ""
-    ):
+    ]
+    histogram = registry.get("crawl_pages_per_query")
+    labels = bucket_labels(histogram.buckets)
+    for (policy,), series in histogram.series():
         buckets = " ".join(
             f"{label}:{count}"
-            for label, count in histogram.labelled_buckets()
+            for label, count in zip(labels, series.counts)
             if count
         )
-        parts.append(
-            f"pages/query [{policy or '?'}]: mean {histogram.mean:.2f}  {buckets}"
-        )
+        mean = series.sum / series.total
+        parts.append(f"pages/query [{policy}]: mean {mean:.2f}  {buckets}")
     return "\n".join(parts)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from types import SimpleNamespace
 from typing import Callable, Dict, Optional, Sequence
 
 from repro import io
@@ -238,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="steps between full-state snapshots; 0 writes "
                             "them only at baseline and suspension")
     crawl.add_argument("--stop-after-steps", type=int, default=None,
-                       help="suspend gracefully after N steps (with --checkpoint-dir)")
+                       help="suspend gracefully after N steps "
+                            "(needs --checkpoint-dir)")
     crawl.add_argument("--profile", default=None, metavar="PATH",
                        help="run the crawl under cProfile: dump raw stats "
                             "to PATH (readable with pstats/snakeviz) and "
@@ -490,12 +492,29 @@ def _command_generate(args, out) -> int:
     return 0
 
 
-def _build_from_setup(setup: dict):
-    """Rebuild (table, server, selector) from a setup recipe.
+#: The ``crawl`` arguments stored in every checkpoint as its setup
+#: recipe: what ``resume`` needs to rebuild the source and selector.
+_SETUP_KEYS = (
+    "dataset", "table", "records", "policy", "page_size", "result_limit", "seed",
+)
 
-    The same recipe is built from ``crawl`` arguments and stored inside
-    every checkpoint, so ``resume`` reconstructs an identical source.
+
+def _open_source(args, setup: dict, trace_context=None):
+    """``(table, server)`` for a crawl; ``table`` is None for ``--remote``.
+
+    A local source is rebuilt from the setup recipe: the same recipe is
+    built from ``crawl`` arguments and stored inside every checkpoint,
+    so ``resume`` reconstructs an identical source.
     """
+    if getattr(args, "remote", None):
+        from repro.net import RemoteWebDatabase
+
+        return None, RemoteWebDatabase(
+            args.remote,
+            source=args.remote_source,
+            pipeline_depth=args.pipeline_depth,
+            trace_context=trace_context,
+        )
     if setup.get("dataset"):
         table = load_dataset(
             setup["dataset"], setup.get("records", 0), seed=setup.get("seed", 0)
@@ -510,8 +529,7 @@ def _build_from_setup(setup: dict):
     server = SimulatedWebDatabase(
         table, page_size=setup.get("page_size", 10), limit_policy=limit_policy
     )
-    selector = POLICIES[setup["policy"]]()
-    return table, server, selector
+    return table, server
 
 
 def _command_fleet(args, out) -> int:
@@ -613,10 +631,8 @@ def _attach_telemetry(args, out, bus, truth_size=None):
     return telemetry, writer, reporter
 
 
-def _report_telemetry(
-    args, out, telemetry, writer, reporter=None, server=None, selector=None
-) -> None:
-    """Final sampling, exports, and the summary table."""
+def _report_telemetry(args, out, telemetry, writer, reporter=None) -> None:
+    """Final snapshot, exports, and the summary table."""
     from pathlib import Path
 
     from repro.metrics import prometheus_text, render_metrics_summary
@@ -625,10 +641,6 @@ def _report_telemetry(
         return
     if reporter is not None:
         reporter.close()
-    if server is not None:
-        telemetry.sample_server(server)
-    if selector is not None:
-        telemetry.sample_selector(selector)
     if writer is not None:
         writer.write_snapshot(telemetry.registry, step=None, label="final")
         writer.close()
@@ -645,65 +657,72 @@ def _report_telemetry(
     out.write("\n")
 
 
-def _attach_trace(args, bus, fresh: bool = True):
-    """Attach a TraceSink per the ``--trace-out`` flags (or return None)."""
-    if not getattr(args, "trace_out", None):
-        return None
-    from repro.trace import TraceSink
+def _trace_context(args, setup: dict):
+    """A CrawlTraceContext when something reads the active span id.
 
-    return bus.attach(
-        TraceSink(
-            args.trace_out,
-            include_timings=not getattr(args, "trace_canonical", False),
-            fresh=fresh,
-        )
-    )
-
-
-def _report_trace(out, tracer) -> None:
-    if tracer is None:
-        return
-    tracer.close()
-    out.write(
-        f"trace written: {tracer.path} ({tracer.spans_written} spans)\n"
-    )
-
-
-def _start_sample_profiler(args, context=None):
-    """Start the opt-in sampling profiler per ``--sample-profile``.
-
-    Returns the running profiler, or ``None`` when the flag is off.
-    When a :class:`~repro.obs.CrawlTraceContext` is supplied its
-    ``current_label`` prefixes every sample with the active span.
+    A traced remote client names each fetch's span before the request
+    goes on the wire (X-Repro-Trace), and profiler samples carry the
+    active span label.  The remote source needs it before the bus has
+    its sinks, so :func:`_crawl_sinks` only attaches it.
     """
-    if not getattr(args, "sample_profile", None):
+    remote_traced = getattr(args, "remote", None) and args.trace_out
+    if not (getattr(args, "sample_profile", None) or remote_traced):
         return None
-    from repro.obs import SamplingProfiler
+    from repro.obs import CrawlTraceContext
 
-    profiler = SamplingProfiler(
-        interval=getattr(args, "sample_interval", 0.005),
-        label_provider=(
-            context.current_label if context is not None else None
-        ),
+    return CrawlTraceContext(trace_id=f"{setup['policy']}-s{setup['seed']}")
+
+
+def _crawl_sinks(args, out, truth_size, trace_context=None, resumed=False):
+    """Build one CLI crawl's event bus and the sinks its flags ask for.
+
+    A durable crawl (``--checkpoint-dir``, and every ``resume``) always
+    counts with a TelemetrySink: its registry travels in the checkpoint
+    and draws the roll-up table.  The sampling profiler is built here
+    and started by the caller around the crawl itself.
+    """
+    from repro.runtime.events import EventBus
+
+    bus = EventBus()
+    telemetry = writer = reporter = tracer = profiler = None
+    if args.checkpoint_dir is not None or _telemetry_requested(args):
+        telemetry, writer, reporter = _attach_telemetry(
+            args, out, bus, truth_size=truth_size
+        )
+    if args.trace_out:
+        from repro.trace import TraceSink
+
+        tracer = bus.attach(
+            TraceSink(
+                args.trace_out,
+                include_timings=not args.trace_canonical,
+                fresh=not resumed,
+            )
+        )
+    if trace_context is not None:
+        bus.attach(trace_context)
+    if getattr(args, "sample_profile", None):
+        from repro.obs import SamplingProfiler
+
+        profiler = SamplingProfiler(
+            interval=args.sample_interval,
+            label_provider=trace_context.current_label,
+        )
+    return SimpleNamespace(
+        bus=bus, telemetry=telemetry, writer=writer, reporter=reporter,
+        tracer=tracer, profiler=profiler,
     )
-    return profiler.start()
 
 
-def _finish_sample_profiler(args, out, profiler) -> None:
-    if profiler is None:
-        return
-    profiler.stop()
-    stacks = profiler.write_folded(args.sample_profile)
-    out.write(
-        f"profile samples: {args.sample_profile} "
-        f"({profiler.sample_count} samples, {stacks} folded stacks)\n"
-    )
+def _report_crawl(args, out, sinks, runtime, result, table, server, seeds) -> None:
+    """Everything ``crawl`` and ``resume`` print once the crawl stopped."""
+    from repro.analysis.reports import render_runtime_metrics
 
-
-def _report_result(table, result, args, out, server=None) -> None:
+    if seeds:
+        out.write(f"seed value: {seeds[0]}\n")
     if table is not None:
         out.write(f"source: {table.name} ({len(table):,} records)\n")
-    elif server is not None:
+    else:
         out.write(
             f"source: {server.name} ({server.truth_size():,} records, "
             f"remote at {server.base_url})\n"
@@ -713,8 +732,8 @@ def _report_result(table, result, args, out, server=None) -> None:
         f"({result.coverage:.1%}) in {result.communication_rounds:,} rounds, "
         f"{result.queries_issued:,} queries, stopped by {result.stopped_by}\n"
     )
-    log = getattr(server, "log", None)
-    if log is not None and log.record_wall_times and log.wall_times:
+    log = server.log
+    if log.record_wall_times and log.wall_times:
         total = log.total_wall_time
         mean_ms = total / len(log.wall_times) * 1e3
         out.write(
@@ -726,6 +745,31 @@ def _report_result(table, result, args, out, server=None) -> None:
     if args.history:
         io.history_to_csv(result.history, args.history)
         out.write(f"history written to {args.history}\n")
+    if runtime.checkpoint_dir is not None:
+        out.write(
+            f"checkpoints written: {runtime.checkpoints_written} "
+            f"(every {runtime.checkpoint_every} steps) in {args.checkpoint_dir}\n"
+        )
+        if result.stopped_by == "suspended":
+            out.write(
+                f"suspended; continue with: repro resume {args.checkpoint_dir}\n"
+            )
+    if sinks.tracer is not None:
+        sinks.tracer.close()
+        out.write(
+            f"trace written: {sinks.tracer.path} "
+            f"({sinks.tracer.spans_written} spans)\n"
+        )
+    if runtime.checkpoint_dir is not None:
+        out.write(render_runtime_metrics(sinks.telemetry.registry))
+        out.write("\n")
+    if _telemetry_requested(args):
+        if table is not None:
+            sinks.telemetry.sample_server(server)
+        sinks.telemetry.sample_selector(runtime.engine.selector)
+        _report_telemetry(
+            args, out, sinks.telemetry, sinks.writer, sinks.reporter
+        )
 
 
 def _profiled_crawl(args, out) -> int:
@@ -755,211 +799,35 @@ def _profiled_crawl(args, out) -> int:
     return code
 
 
-def _remote_crawl(args, out) -> int:
-    """``repro crawl --remote URL``: the same crawl over the wire.
-
-    Seeds come from the service's ``/truth/seeds`` route, which runs
-    the identical :func:`sample_seed_values` the in-process path runs
-    — so a remote crawl with the same seed discovers the byte-identical
-    record set in the same number of communication rounds.
-    """
-    from repro.net import RemoteWebDatabase
-
-    if args.checkpoint_dir is not None:
-        out.write("--checkpoint-dir requires a local source\n")
-        return 2
-    if args.policy == "practical":
-        out.write("--remote does not support the practical bundle\n")
-        return 2
-    telemetry = writer = reporter = bus = tracer = None
-    trace_context = None
-    if _telemetry_requested(args) or args.trace_out or args.sample_profile:
-        from repro.runtime.events import EventBus
-
-        bus = EventBus()
-        tracer = _attach_trace(args, bus)
-        if args.trace_out or args.sample_profile:
-            from repro.obs import CrawlTraceContext
-
-            # The context mirrors TraceSink's span-id assignment so the
-            # client can name each fetch's span id before the request
-            # goes on the wire (X-Repro-Trace propagation) and so
-            # profiler samples carry the active span label.
-            trace_context = bus.attach(
-                CrawlTraceContext(trace_id=f"{args.policy}-s{args.seed}")
-            )
-    with RemoteWebDatabase(
-        args.remote,
-        source=args.remote_source,
-        pipeline_depth=args.pipeline_depth,
-        trace_context=trace_context,
-    ) as server:
-        if _telemetry_requested(args):
-            telemetry, writer, reporter = _attach_telemetry(
-                args, out, bus, truth_size=server.truth_size()
-            )
-        engine = CrawlerEngine(
-            server, POLICIES[args.policy](), seed=args.seed, bus=bus
-        )
-        seeds = server.truth_seeds(1, seed=args.seed, min_frequency=2)
-        profiler = _start_sample_profiler(args, trace_context)
-        try:
-            result = engine.crawl(
-                seeds,
-                target_coverage=args.target,
-                max_rounds=args.max_rounds,
-                max_queries=args.max_queries,
-            )
-        finally:
-            _finish_sample_profiler(args, out, profiler)
-        out.write(f"seed value: {seeds[0]}\n")
-        _report_result(None, result, args, out, server=server)
-        _report_trace(out, tracer)
-        _report_telemetry(
-            args, out, telemetry, writer, reporter, selector=engine.selector
-        )
-    return 0
+def _crawl_refusal(args) -> Optional[str]:
+    """Why ``repro crawl`` cannot combine its flags, or None."""
+    if args.remote:
+        if args.checkpoint_dir is not None:
+            return "--checkpoint-dir requires a local source"
+        if args.policy == "practical":
+            return "--remote does not support the practical bundle"
+    if args.checkpoint_dir is None:
+        if args.stop_after_steps is not None:
+            return "--stop-after-steps requires --checkpoint-dir"
+    elif args.policy == "practical":
+        return "--checkpoint-dir does not support the practical bundle"
+    return None
 
 
 def _command_crawl(args, out) -> int:
-    import random
-
     if getattr(args, "profile", None):
         return _profiled_crawl(args, out)
-    if getattr(args, "remote", None):
-        return _remote_crawl(args, out)
-    if args.checkpoint_dir is not None:
-        return _durable_crawl(args, out)
-    if args.dataset:
-        table = load_dataset(args.dataset, args.records, seed=args.seed)
-    else:
-        table = io.load_table(args.table)
-    limit_policy = (
-        ResultLimitPolicy(limit=args.result_limit, ordering="ranked")
-        if args.result_limit
-        else None
-    )
-    server = SimulatedWebDatabase(
-        table, page_size=args.page_size, limit_policy=limit_policy
-    )
-    telemetry = writer = reporter = bus = tracer = None
-    trace_context = None
-    if _telemetry_requested(args) or args.trace_out or args.sample_profile:
-        from repro.runtime.events import EventBus
-
-        bus = EventBus()
-        if _telemetry_requested(args):
-            telemetry, writer, reporter = _attach_telemetry(
-                args, out, bus, truth_size=len(table)
-            )
-        tracer = _attach_trace(args, bus)
-        if args.sample_profile:
-            from repro.obs import CrawlTraceContext
-
-            trace_context = bus.attach(
-                CrawlTraceContext(trace_id=f"{args.policy}-s{args.seed}")
-            )
-    if args.policy == "practical":
-        engine = build_practical_crawler(server, seed=args.seed, bus=bus)
-    else:
-        engine = CrawlerEngine(
-            server, POLICIES[args.policy](), seed=args.seed, bus=bus
-        )
-    seeds = sample_seed_values(
-        table, 1, random.Random(args.seed), min_frequency=2
-    )
-    profiler = _start_sample_profiler(args, trace_context)
-    try:
-        result = engine.crawl(
-            seeds,
-            target_coverage=args.target,
-            max_rounds=args.max_rounds,
-            max_queries=args.max_queries,
-        )
-    finally:
-        _finish_sample_profiler(args, out, profiler)
-    out.write(f"seed value: {seeds[0]}\n")
-    _report_result(table, result, args, out)
-    _report_trace(out, tracer)
-    _report_telemetry(
-        args, out, telemetry, writer, reporter, server=server,
-        selector=engine.selector,
-    )
-    return 0
-
-
-def _durable_crawl(args, out) -> int:
-    import random
-
-    from repro.analysis.reports import render_runtime_metrics
-    from repro.runtime.crawler import RuntimeCrawler
-    from repro.runtime.events import EventBus, MetricsAggregator
-
-    if args.policy == "practical":
-        out.write("--checkpoint-dir does not support the practical bundle\n")
+    refusal = _crawl_refusal(args)
+    if refusal is not None:
+        out.write(refusal + "\n")
         return 2
-    setup = {
-        "dataset": args.dataset,
-        "table": args.table,
-        "records": args.records,
-        "policy": args.policy,
-        "page_size": args.page_size,
-        "result_limit": args.result_limit,
-        "seed": args.seed,
-    }
-    table, server, selector = _build_from_setup(setup)
-    bus = EventBus()
-    metrics = bus.attach(MetricsAggregator())
-    telemetry = writer = reporter = None
-    if _telemetry_requested(args):
-        telemetry, writer, reporter = _attach_telemetry(
-            args, out, bus, truth_size=len(table)
-        )
-    tracer = _attach_trace(args, bus)
-    engine = CrawlerEngine(server, selector, seed=args.seed, bus=bus)
-    runtime = RuntimeCrawler(
-        engine,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        snapshot_every=args.snapshot_every,
-        setup=setup,
-        telemetry=telemetry,
-        trace=tracer,
-    )
-    seeds = sample_seed_values(
-        table, 1, random.Random(args.seed), min_frequency=2
-    )
-    result = runtime.crawl(
-        seeds,
-        target_coverage=args.target,
-        max_rounds=args.max_rounds,
-        max_queries=args.max_queries,
-        stop_after_steps=args.stop_after_steps,
-    )
-    runtime.close()
-    out.write(f"seed value: {seeds[0]}\n")
-    _report_result(table, result, args, out)
-    out.write(
-        f"checkpoints written: {runtime.checkpoints_written} "
-        f"(every {args.checkpoint_every} steps) in {args.checkpoint_dir}\n"
-    )
-    if result.stopped_by == "suspended":
-        out.write(f"suspended; continue with: repro resume {args.checkpoint_dir}\n")
-    _report_trace(out, tracer)
-    out.write(render_runtime_metrics(metrics))
-    out.write("\n")
-    _report_telemetry(
-        args, out, telemetry, writer, reporter, server=server,
-        selector=selector,
-    )
-    return 0
+    setup = {key: getattr(args, key) for key in _SETUP_KEYS}
+    return _run_crawl(args, out, setup)
 
 
 def _command_resume(args, out) -> int:
-    from repro.analysis.reports import render_runtime_metrics
     from repro.runtime.checkpoint import CrawlCheckpoint
-    from repro.runtime.crawler import CHECKPOINT_FILE, RuntimeCrawler
-    from repro.runtime.events import EventBus, MetricsAggregator
+    from repro.runtime.crawler import CHECKPOINT_FILE
     from pathlib import Path
 
     directory = Path(args.checkpoint_dir)
@@ -970,35 +838,91 @@ def _command_resume(args, out) -> int:
             "resume it with RuntimeCrawler.resume() instead\n"
         )
         return 2
-    table, server, selector = _build_from_setup(checkpoint.setup)
-    bus = EventBus()
-    metrics = bus.attach(MetricsAggregator())
-    telemetry = writer = reporter = None
-    if _telemetry_requested(args):
-        telemetry, writer, reporter = _attach_telemetry(
-            args, out, bus, truth_size=len(table)
+    return _run_crawl(args, out, checkpoint.setup, checkpoint=checkpoint)
+
+
+def _run_crawl(args, out, setup: dict, checkpoint=None) -> int:
+    """Build, run and report one crawl: a fresh one, or ``checkpoint``'s."""
+    import random
+
+    from repro.runtime.crawler import RuntimeCrawler
+
+    trace_context = _trace_context(args, setup)
+    table, server = _open_source(args, setup, trace_context)
+    try:
+        sinks = _crawl_sinks(
+            args, out, server.truth_size(), trace_context,
+            resumed=checkpoint is not None,
         )
-    tracer = _attach_trace(args, bus, fresh=False)
-    runtime = RuntimeCrawler.resume(
-        directory, server, selector, bus=bus, telemetry=telemetry,
-        trace=tracer,
-    )
-    out.write(
-        f"resumed from step {checkpoint.step} "
-        f"(+{runtime.engine.steps - checkpoint.step} journaled steps replayed)\n"
-    )
-    result = runtime.run(stop_after_steps=args.stop_after_steps)
-    runtime.close()
-    _report_result(table, result, args, out)
-    if result.stopped_by == "suspended":
-        out.write(f"suspended; continue with: repro resume {args.checkpoint_dir}\n")
-    _report_trace(out, tracer)
-    out.write(render_runtime_metrics(metrics))
-    out.write("\n")
-    _report_telemetry(
-        args, out, telemetry, writer, reporter, server=server,
-        selector=selector,
-    )
+        # Durable work is tied to --checkpoint-dir: the runtime embeds
+        # this telemetry and trace state in every full snapshot.
+        durable = {}
+        if args.checkpoint_dir is not None:
+            durable = {"telemetry": sinks.telemetry, "trace": sinks.tracer}
+        seeds = None
+        if checkpoint is not None:
+            runtime = RuntimeCrawler.resume(
+                args.checkpoint_dir, server, POLICIES[setup["policy"]](),
+                bus=sinks.bus, **durable,
+            )
+            out.write(
+                f"resumed from step {checkpoint.step} "
+                f"(+{runtime.engine.steps - checkpoint.step} journaled steps "
+                f"replayed)\n"
+            )
+        else:
+            if args.policy == "practical":
+                engine = build_practical_crawler(
+                    server, seed=args.seed, bus=sinks.bus
+                )
+            else:
+                selector = POLICIES[args.policy]()
+                engine = CrawlerEngine(
+                    server, selector, seed=args.seed, bus=sinks.bus
+                )
+            runtime = RuntimeCrawler(
+                engine,
+                checkpoint_dir=args.checkpoint_dir,
+                checkpoint_every=args.checkpoint_every,
+                snapshot_every=args.snapshot_every,
+                setup=setup,
+                **durable,
+            )
+            if table is not None:
+                seeds = sample_seed_values(
+                    table, 1, random.Random(args.seed), min_frequency=2
+                )
+            else:
+                # The service's /truth/seeds runs the same sampling, so a
+                # remote crawl starts where the in-process one does.
+                seeds = server.truth_seeds(1, seed=args.seed, min_frequency=2)
+        if sinks.profiler is not None:
+            sinks.profiler.start()
+        try:
+            if seeds is None:
+                result = runtime.run(stop_after_steps=args.stop_after_steps)
+            else:
+                result = runtime.crawl(
+                    seeds,
+                    target_coverage=args.target,
+                    max_rounds=args.max_rounds,
+                    max_queries=args.max_queries,
+                    stop_after_steps=args.stop_after_steps,
+                )
+        finally:
+            if sinks.profiler is not None:
+                sinks.profiler.stop()
+                stacks = sinks.profiler.write_folded(args.sample_profile)
+                out.write(
+                    f"profile samples: {args.sample_profile} "
+                    f"({sinks.profiler.sample_count} samples, "
+                    f"{stacks} folded stacks)\n"
+                )
+        runtime.close()
+        _report_crawl(args, out, sinks, runtime, result, table, server, seeds)
+    finally:
+        if table is None:
+            server.close()
     return 0
 
 

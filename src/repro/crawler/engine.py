@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import CrawlError, UnsupportedQueryError
 from repro.core.query import AnyQuery, ConjunctiveQuery, Query
@@ -423,22 +423,53 @@ class CrawlerEngine:
     ) -> CrawlResult:
         """Run the query–harvest–decompose loop to a stopping criterion."""
         self.prepare(seeds, allow_empty_seeds=allow_empty_seeds)
-        stopped_by = "frontier-exhausted"
+        return self.finish(
+            self.step_until(
+                max_rounds=max_rounds,
+                max_queries=max_queries,
+                target_coverage=target_coverage,
+            )
+        )
+
+    def step_until(
+        self,
+        max_rounds: Optional[int] = None,
+        max_queries: Optional[int] = None,
+        target_coverage: Optional[float] = None,
+        stop_after_steps: Optional[int] = None,
+        on_step: Optional[Callable[[QueryOutcome], None]] = None,
+    ) -> str:
+        """Step until a stopping criterion fires; return its name.
+
+        The one copy of the stopping loop: the criteria are checked in
+        this order before every step, and the frontier running dry ends
+        the loop as ``"frontier-exhausted"``.  ``stop_after_steps``
+        counts the steps of this call (``"suspended"``); ``on_step``
+        runs after each completed step with its outcome — the durable
+        runtime journals and checkpoints there.
+        """
+        steps = 0
         while True:
             if max_rounds is not None and self.server.rounds >= max_rounds:
-                stopped_by = "max-rounds"
-                break
+                return "max-rounds"
             if max_queries is not None and len(self.context.lqueried) >= max_queries:
-                stopped_by = "max-queries"
-                break
+                return "max-queries"
             if (
                 target_coverage is not None
                 and self._true_coverage() >= target_coverage
             ):
-                stopped_by = "target-coverage"
-                break
-            if self.step() is None:
-                break
+                return "target-coverage"
+            if stop_after_steps is not None and steps >= stop_after_steps:
+                return "suspended"
+            outcome = self.step()
+            if outcome is None:
+                return "frontier-exhausted"
+            steps += 1
+            if on_step is not None:
+                on_step(outcome)
+
+    def finish(self, stopped_by: str) -> CrawlResult:
+        """The crawl's result, announced on the bus as :class:`CrawlStopped`."""
         result = self.result(stopped_by)
         if self.bus.has_sinks:
             self.bus.emit(

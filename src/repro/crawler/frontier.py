@@ -211,10 +211,10 @@ class InternedPriorityFrontier(Frontier):
 
     **Incremental rescoring.**  :meth:`refresh_id` no longer scores and
     pushes eagerly; it only marks the id *dirty* (insertion-ordered,
-    deduplicated).  The dirty set drains at the next :meth:`pop` (or
-    :meth:`state_dict`): each dirty id is rescored and re-pushed **only
-    if its score actually changed** since its last push.  Both halves
-    preserve the eager frontier's pop order exactly:
+    deduplicated).  The dirty set drains at the next :meth:`pop`: each
+    dirty id is rescored and re-pushed **only if its score actually
+    changed** since its last push.  Both halves preserve the eager
+    frontier's pop order exactly:
 
     - *Deferral* keeps the push sequence: between a refresh and the next
       pop nothing else pushes, so draining in mark order assigns ticks
@@ -238,9 +238,11 @@ class InternedPriorityFrontier(Frontier):
     unique, so the third tuple element is never compared — swapping the
     value for its id cannot change pop order, and the checkpoint payload
     (which encodes the values, not the ids) matches the value-keyed
-    frontier's schema.  ``state_dict`` flushes first: a checkpoint
-    performs exactly the pushes the next pop would have, in the same
-    order, so observing a crawl cannot perturb it.
+    frontier's schema, plus the dirty ids (in mark order) and the
+    ``stats`` counters.  A checkpoint therefore flushes nothing: the
+    resumed frontier drains the same dirty set at the same pop as the
+    uninterrupted one, so observing a crawl perturbs neither its pops
+    nor its counters.
 
     Parameters
     ----------
@@ -393,10 +395,6 @@ class InternedPriorityFrontier(Frontier):
     # Checkpoint state — same payload as PriorityFrontier, value-encoded
     # ------------------------------------------------------------------
     def state_dict(self, encode: Optional[ItemEncoder] = None) -> dict:
-        # Drain the dirty set first: the flush performs exactly the
-        # pushes the next pop would have, in the same order, so the
-        # snapshot is self-consistent and taking it perturbs nothing.
-        self._flush()
         encode = encode or _default_encode
         value_of = self._value_of
         return {
@@ -418,6 +416,11 @@ class InternedPriorityFrontier(Frontier):
                     )
                 ],
             },
+            # Not drained here: the next pop flushes it, resumed or not.
+            "dirty": [encode(value_of(vid)) for vid in self._dirty],
+            # Lifetime counters, so a resumed crawl's telemetry keeps
+            # counting from here instead of from zero.
+            "stats": dict(self.stats),
         }
 
     def load_state(
@@ -440,8 +443,8 @@ class InternedPriorityFrontier(Frontier):
         # schema-compatible with PriorityFrontier): rebuild it as each
         # pending id's best heap entry.  Scores only grow between pushes
         # for the shipped policies, so "best" is "last pushed".
-        self._dirty = []
-        self._dirty_set = set()
+        self._dirty = [intern(decode(value)) for value in state.get("dirty", ())]
+        self._dirty_set = set(self._dirty)
         last: dict[int, float] = {}
         pending = self._pending_ids
         for neg_score, _tie, vid in self._heap:
@@ -452,6 +455,7 @@ class InternedPriorityFrontier(Frontier):
                     last[vid] = score
         self._last_pushed = last
         self._flushes = 0
+        self.stats.update(state.get("stats", {}))
 
 
 class PriorityFrontier(Frontier):

@@ -276,6 +276,11 @@ class TelemetrySink(EventSink):
             )
         elif isinstance(event, RecordsHarvested):
             self._on_step(event, key)
+            if self.track_wall_time:
+                now = self._clock()
+                if self._last_step_at is not None:
+                    self.step_seconds.observe_key(key, now - self._last_step_at)
+                self._last_step_at = now
         elif isinstance(event, QueryIssued):
             self.queries_issued.inc_key(key)
         elif isinstance(event, QueryRejected):
@@ -327,11 +332,44 @@ class TelemetrySink(EventSink):
             self.harvest_rate_rolling.set_key(
                 key, self._window_new / self._window_pages
             )
-        if self.track_wall_time:
-            now = self._clock()
-            if self._last_step_at is not None:
-                self.step_seconds.observe_key(key, now - self._last_step_at)
-            self._last_step_at = now
+
+    def count_replayed(
+        self,
+        outcome,
+        step: int,
+        rounds: int,
+        records_total: int,
+        policy: Optional[str] = None,
+    ) -> None:
+        """Count one journal-replayed step the way its live events were.
+
+        Replay emits no events, so
+        :meth:`repro.runtime.crawler.RuntimeCrawler.resume` hands each
+        replayed :class:`~repro.crawler.prober.QueryOutcome` here.
+        Retries, backoff rounds, rejected queries and rounds saved are
+        not journaled; they continue from the checkpoint's snapshot.
+        """
+        key = (policy or "?",)
+        new = len(outcome.new_records)
+        self.queries_issued.inc_key(key)
+        self.pages_fetched.inc_key(key, outcome.pages_fetched)
+        self.records_new.inc_key(key, new)
+        self.records_duplicate.inc_key(key, outcome.records_returned - new)
+        if outcome.aborted:
+            self.queries_aborted.inc_key(key)
+        if outcome.failed:
+            self.queries_failed.inc_key(key)
+        self._on_step(
+            RecordsHarvested(
+                query=outcome.query,
+                step=step,
+                new_records=new,
+                pages_fetched=outcome.pages_fetched,
+                records_total=records_total,
+                rounds=rounds,
+            ),
+            key,
+        )
 
     # ------------------------------------------------------------------
     def sample_server(self, server) -> None:

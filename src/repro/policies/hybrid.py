@@ -168,6 +168,14 @@ class GreedyMmmiSelector(QuerySelector):
             else self._greedy.pending_count()
         )
 
+    def frontier_stats(self) -> Optional[dict]:
+        """Both phases' frontier counters, summed (MMMI reports none)."""
+        total: dict = {}
+        for inner in (self._greedy, self._mmmi):
+            for name, value in (inner.frontier_stats() or {}).items():
+                total[name] = total.get(name, 0) + value
+        return total or None
+
     # ------------------------------------------------------------------
     def _maybe_switch(self) -> None:
         if self._switched:

@@ -18,8 +18,9 @@ durable and observable:
 - :mod:`repro.runtime.checkpoint` — full-state ``CrawlCheckpoint``
   construction and restoration on top of every policy's
   ``state_dict()/load_state()``.
-- :mod:`repro.runtime.crawler` — :class:`RuntimeCrawler`, the durable
-  loop: checkpoint every N steps, journal every step, and
+- :mod:`repro.runtime.crawler` — :class:`RuntimeCrawler`, which runs
+  the engine's stopping loop and, from its per-step hook, journals
+  every step and checkpoints every N steps; and
   :meth:`RuntimeCrawler.resume` a killed crawl to a bit-identical
   :class:`~repro.crawler.engine.CrawlResult`.
 

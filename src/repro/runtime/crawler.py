@@ -1,7 +1,9 @@
 """The durable crawl loop: journal every step, commit every N steps.
 
-:class:`RuntimeCrawler` wraps a :class:`~repro.crawler.engine.CrawlerEngine`
-and replicates its stopping semantics exactly, adding durability:
+:class:`RuntimeCrawler` drives a :class:`~repro.crawler.engine.CrawlerEngine`
+through the engine's own stopping loop
+(:meth:`~repro.crawler.engine.CrawlerEngine.step_until`) and adds
+durability, the per-step part from that loop's ``on_step`` hook:
 
 - a **write-ahead journal** entry after *every* completed step;
 - a **checkpoint marker** every ``checkpoint_every`` completed steps:
@@ -39,9 +41,10 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 from repro.core.errors import CrawlError
 from repro.crawler.abortion import AbortionPolicy
 from repro.crawler.engine import CrawlerEngine, CrawlResult, Seed
+from repro.crawler.prober import QueryOutcome
 from repro.policies.base import QuerySelector
 from repro.runtime.checkpoint import CheckpointError, CrawlCheckpoint
-from repro.runtime.events import CheckpointWritten, CrawlStopped, EventBus
+from repro.runtime.events import CheckpointWritten, EventBus
 from repro.runtime.journal import OutcomeJournal, read_journal
 from repro.runtime.serialize import restore_rng
 from repro.server.flaky import ExponentialBackoff
@@ -96,12 +99,12 @@ class RuntimeCrawler:
     Parameters
     ----------
     engine:
-        A fresh (or checkpoint-restored) engine; the runtime drives its
-        ``step()`` loop directly.
+        A fresh (or checkpoint-restored) engine; the runtime runs its
+        :meth:`~repro.crawler.engine.CrawlerEngine.step_until` loop.
     checkpoint_dir:
         Directory for ``checkpoint.json`` and ``journal.jsonl``; with
-        ``None`` the runtime degrades to a plain (but event-emitting)
-        crawl loop.
+        ``None`` the runtime is the engine's plain crawl loop (no
+        journal, no checkpoints, no per-step trace flush).
     checkpoint_every:
         Completed steps between checkpoint markers (journal
         group-commit + ``progress.json`` manifest — O(1) work, no state
@@ -130,7 +133,8 @@ class RuntimeCrawler:
         engine/prober/selector phase instrumentation on — and its
         continuation state (next span seq, rounds horizon) is embedded
         in every full snapshot so a resumed crawl's trace file picks up
-        exactly where the original left off.
+        exactly where the original left off.  With a ``checkpoint_dir``
+        the trace is flushed after every step.
     """
 
     def __init__(
@@ -165,7 +169,7 @@ class RuntimeCrawler:
         if trace is not None:
             # Durable crawls flush the trace at every step so its
             # durable horizon never falls behind the journal's.
-            trace.step_flush = True
+            trace.step_flush = self.checkpoint_dir is not None
             if trace not in engine.bus:
                 engine.bus.attach(trace)
         self.checkpoints_written = 0
@@ -225,80 +229,38 @@ class RuntimeCrawler:
     # ------------------------------------------------------------------
     def _run(self, stop_after_steps: Optional[int] = None) -> CrawlResult:
         engine = self.engine
-        max_rounds = self._limits.get("max_rounds")
-        max_queries = self._limits.get("max_queries")
-        target_coverage = self._limits.get("target_coverage")
-        steps_this_run = 0
-        stopped_by = "frontier-exhausted"
-        # Same criteria in the same order as CrawlerEngine.crawl, so a
-        # durable crawl stops exactly where a plain one would.
-        while True:
-            if max_rounds is not None and engine.server.rounds >= max_rounds:
-                stopped_by = "max-rounds"
-                break
-            if (
-                max_queries is not None
-                and len(engine.context.lqueried) >= max_queries
-            ):
-                stopped_by = "max-queries"
-                break
-            if (
-                target_coverage is not None
-                and engine._true_coverage() >= target_coverage
-            ):
-                stopped_by = "target-coverage"
-                break
-            if (
-                stop_after_steps is not None
-                and steps_this_run >= stop_after_steps
-            ):
-                stopped_by = "suspended"
-                break
-            outcome = engine.step()
-            if outcome is None:
-                break
-            steps_this_run += 1
-            if self._journal is not None:
-                self._journal.record(
-                    step=engine.steps,
-                    rounds=engine.server.rounds,
-                    outcome=outcome,
-                    server_state=engine.server.runtime_state(),
-                    backoff_rng=(
-                        engine.backoff_rng
-                        if engine.prober.max_retries > 0
-                        else None
-                    ),
-                )
-            if self.checkpoint_dir is not None:
-                if (
-                    self.snapshot_every > 0
-                    and engine.steps % self.snapshot_every == 0
-                ):
-                    self._write_checkpoint()
-                elif (
-                    self.checkpoint_every > 0
-                    and engine.steps % self.checkpoint_every == 0
-                ):
-                    self._commit_progress()
+        stopped_by = engine.step_until(
+            stop_after_steps=stop_after_steps,
+            on_step=self._journal_step if self._journal is not None else None,
+            **self._limits,
+        )
         if stopped_by == "suspended" and self.checkpoint_dir is not None:
             self._write_checkpoint()
         elif self._journal is not None:
             self._journal.flush()
-        result = engine.result(stopped_by)
         if self.telemetry is not None:
             self.telemetry.sample_server(engine.server)
-        if engine.bus.has_sinks:
-            engine.bus.emit(
-                CrawlStopped(
-                    stopped_by=stopped_by,
-                    rounds=result.communication_rounds,
-                    queries=result.queries_issued,
-                    records=result.records_harvested,
-                ),
-                policy=engine.selector.name,
-            )
-        return result
+        return engine.finish(stopped_by)
+
+    def _journal_step(self, outcome: QueryOutcome) -> None:
+        """Per-step hook: journal the step, then snapshot or mark."""
+        engine = self.engine
+        self._journal.record(
+            step=engine.steps,
+            rounds=engine.server.rounds,
+            outcome=outcome,
+            server_state=engine.server.runtime_state(),
+            backoff_rng=(
+                engine.backoff_rng if engine.prober.max_retries > 0 else None
+            ),
+        )
+        if self.snapshot_every > 0 and engine.steps % self.snapshot_every == 0:
+            self._write_checkpoint()
+        elif (
+            self.checkpoint_every > 0
+            and engine.steps % self.checkpoint_every == 0
+        ):
+            self._commit_progress()
 
     def _write_checkpoint(self) -> None:
         """Full-state snapshot: baseline, suspension, ``snapshot_every``."""
@@ -395,8 +357,11 @@ class RuntimeCrawler:
         When ``telemetry`` is given and the checkpoint carries a
         metrics snapshot, the snapshot is loaded into the sink's
         registry first, so counters continue from the last full
-        snapshot instead of restarting at zero (journal replay is
-        offline and charges no events).
+        snapshot instead of restarting at zero.  Journal replay emits
+        no events; each replayed entry is counted through
+        :meth:`~repro.metrics.telemetry.TelemetrySink.count_replayed`
+        instead, so every counter a journal entry determines reads what
+        the uninterrupted crawl's does.
 
         When ``trace`` is given (a :class:`~repro.trace.sink.TraceSink`
         built with ``fresh=False``), the sink is aligned to the
@@ -430,6 +395,14 @@ class RuntimeCrawler:
         entries = read_journal(directory / JOURNAL_FILE, after_step=checkpoint.step)
         for entry in entries:
             engine.replay_outcome(entry.outcome, entry.rounds)
+            if telemetry is not None:
+                telemetry.count_replayed(
+                    entry.outcome,
+                    step=entry.step,
+                    rounds=entry.rounds,
+                    records_total=len(engine.local_db),
+                    policy=selector.name,
+                )
         if entries:
             last = entries[-1]
             engine.server.load_runtime_state(last.server)

@@ -9,8 +9,10 @@ sinks subscribe to consume them.  Three sinks ship with the runtime:
 - :class:`JsonlEventSink` — an append-only JSONL writer, the
   observability log a production deployment would tail;
 - :class:`MetricsAggregator` — per-policy counters plus
-  latency-in-rounds histograms, consumable by
-  :func:`repro.analysis.reports.render_runtime_metrics`.
+  latency-in-rounds histograms, attached only by perfbench's
+  crawl-local workload; the roll-up
+  :func:`repro.analysis.reports.render_runtime_metrics` reads the
+  :class:`~repro.metrics.telemetry.TelemetrySink` registry.
 
 Events are observational: emitting them never touches crawl state or
 RNG streams, so an instrumented crawl is bit-identical to a bare one.
@@ -442,6 +444,17 @@ class JsonlEventSink(EventSink):
             self._handle.close()
 
 
+def bucket_labels(bounds) -> List[str]:
+    """``1``, ``2``, ``4-5``, ... ``>55`` for inclusive integer upper bounds."""
+    labels = []
+    lower = 1
+    for bound in map(int, bounds):
+        labels.append(f"{lower}" if lower == bound else f"{lower}-{bound}")
+        lower = bound + 1
+    labels.append(f">{lower - 1}")
+    return labels
+
+
 class RoundsHistogram:
     """A small fixed-bucket histogram of per-query cost in rounds."""
 
@@ -468,13 +481,7 @@ class RoundsHistogram:
 
     def labelled_buckets(self) -> List[tuple]:
         """``[(label, count), ...]`` for rendering."""
-        labels = []
-        lower = 1
-        for bound in self.bounds:
-            labels.append(f"{lower}" if lower == bound else f"{lower}-{bound}")
-            lower = bound + 1
-        labels.append(f">{self.bounds[-1]}")
-        return list(zip(labels, self.counts))
+        return list(zip(bucket_labels(self.bounds), self.counts))
 
     def as_dict(self) -> Dict[str, int]:
         return {label: count for label, count in self.labelled_buckets()}

@@ -216,25 +216,31 @@ class OutcomeJournal:
 def read_journal(path: PathLike, after_step: int = -1) -> List[JournalEntry]:
     """Load journal entries with ``step > after_step``, crash-tolerantly.
 
-    A torn final line (no trailing newline, or invalid JSON) is treated
-    as the in-flight write the crash interrupted and discarded; a
-    malformed line anywhere *else* is corruption and raises.
+    A torn final line (no trailing newline, invalid UTF-8 or invalid
+    JSON) is treated as the in-flight write the crash interrupted and
+    discarded; a malformed line anywhere *else* is corruption and
+    raises.  Lines are decoded one at a time, so a write torn inside a
+    multi-byte character spoils only its own line.
     """
     path = Path(path)
     if not path.exists():
         return []
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
+    lines = path.read_bytes().split(b"\n")
     # A well-formed journal ends with "\n", so the final split element
     # is empty; anything else is a torn trailing write.
-    torn = lines.pop() if lines else ""
+    torn = lines.pop() if lines else b""
     entries: List[JournalEntry] = []
     for index, line in enumerate(lines):
         if not line.strip():
             continue
         try:
-            entry = JournalEntry.from_json(line)
-        except (json.JSONDecodeError, KeyError, SerializationError) as error:
+            entry = JournalEntry.from_json(line.decode("utf-8"))
+        except (
+            UnicodeDecodeError,
+            json.JSONDecodeError,
+            KeyError,
+            SerializationError,
+        ) as error:
             if index == len(lines) - 1 and not torn:
                 # Torn write that still got its newline out.
                 break

@@ -96,3 +96,52 @@ class TestValueCoverage:
         engine, _result = crawled
         text = render_value_coverage(engine.local_db, books)
         assert "publisher" in text and "coverage" in text
+
+
+class TestRuntimeMetrics:
+    """The roll-up drawn from the telemetry registry."""
+
+    def test_rollup_matches_the_crawl(self, small_ebay):
+        import random
+
+        from repro.analysis.reports import render_runtime_metrics
+        from repro.experiments.harness import sample_seed_values
+        from repro.metrics import TelemetrySink
+        from repro.runtime import EventBus, MetricsAggregator
+
+        bus = EventBus()
+        telemetry = bus.attach(TelemetrySink())
+        aggregator = bus.attach(MetricsAggregator())
+        engine = CrawlerEngine(
+            SimulatedWebDatabase(small_ebay, page_size=10),
+            GreedyLinkSelector(), seed=4, bus=bus,
+        )
+        seeds = sample_seed_values(small_ebay, 1, random.Random(4), min_frequency=2)
+        result = engine.crawl(seeds, max_queries=40)
+        text = render_runtime_metrics(telemetry.registry)
+        lines = text.splitlines()
+        assert lines[0] == "Event-bus crawl metrics"
+        row = [cell.strip() for cell in lines[3].split("|")]
+        assert row[:4] == [
+            "greedy-link",
+            str(result.queries_issued),
+            str(result.communication_rounds),
+            str(result.records_harvested),
+        ]
+        histogram = aggregator.histograms["greedy-link"]
+        buckets = " ".join(
+            f"{label}:{count}"
+            for label, count in histogram.labelled_buckets()
+            if count
+        )
+        assert lines[4] == (
+            f"pages/query [greedy-link]: mean {histogram.mean:.2f}  {buckets}"
+        )
+
+    def test_empty_registry_renders_headers_only(self):
+        from repro.analysis.reports import render_runtime_metrics
+        from repro.metrics import TelemetrySink
+
+        text = render_runtime_metrics(TelemetrySink().registry)
+        assert text.splitlines()[0] == "Event-bus crawl metrics"
+        assert "pages/query" not in text

@@ -71,3 +71,48 @@ class TestStepApi:
             pass
         assert engine.step() is None
         assert engine.result().stopped_by == "frontier-exhausted"
+
+
+class TestStepUntil:
+    """The engine's one stopping loop, as the durable runtime drives it."""
+
+    def test_suspends_after_steps_and_calls_the_hook(self, books):
+        engine = engine_for(books)
+        engine.prepare([("publisher", "orbit")])
+        seen = []
+        stopped_by = engine.step_until(stop_after_steps=2, on_step=seen.append)
+        assert stopped_by == "suspended"
+        assert engine.steps == 2
+        assert [str(o.query) for o in seen] == [
+            str(q) for q in engine.context.lqueried
+        ]
+        # Steps count per call: the next call may take two more.
+        assert engine.step_until(stop_after_steps=2) == "suspended"
+        assert engine.steps == 4
+
+    def test_criteria_fire_in_order(self, books):
+        engine = engine_for(books)
+        engine.prepare([("publisher", "orbit")])
+        engine.step()
+        # Every criterion holds: the first checked one names the stop.
+        assert (
+            engine.step_until(
+                max_rounds=0, max_queries=0, target_coverage=0.0,
+                stop_after_steps=0,
+            )
+            == "max-rounds"
+        )
+        assert engine.step_until(max_queries=1, stop_after_steps=0) == "max-queries"
+        assert (
+            engine.step_until(target_coverage=0.0, stop_after_steps=0)
+            == "target-coverage"
+        )
+        assert engine.step_until() == "frontier-exhausted"
+
+    def test_finish_matches_crawl(self, books):
+        stepped = engine_for(books)
+        stepped.prepare([("publisher", "orbit")])
+        result = stepped.finish(stepped.step_until(max_queries=3))
+        assert result == engine_for(books).crawl(
+            [("publisher", "orbit")], max_queries=3
+        )

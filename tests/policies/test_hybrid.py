@@ -97,3 +97,40 @@ class TestSwitching:
         assert harvest(GreedyMmmiSelector(switch_coverage=0.5, detector=None)) == (
             harvest(GreedyLinkSelector())
         )
+
+
+class TestFrontierStats:
+    """The Figure 4 policy reports its inner frontiers' counters."""
+
+    def crawl(self, table):
+        import random
+
+        from repro.experiments.harness import sample_seed_values
+
+        selector = GreedyMmmiSelector(switch_coverage=0.6, detector=None)
+        engine = CrawlerEngine(
+            SimulatedWebDatabase(table, page_size=10), selector, seed=3
+        )
+        seeds = sample_seed_values(table, 1, random.Random(3), min_frequency=2)
+        engine.crawl(seeds, max_queries=80)
+        assert selector.switched
+        return selector
+
+    def test_sums_the_inner_selectors(self, small_ebay):
+        selector = self.crawl(small_ebay)
+        greedy = selector._greedy.frontier_stats()
+        assert selector._mmmi.frontier_stats() is None
+        assert greedy["rescored_total"] > 0
+        assert selector.frontier_stats() == greedy
+
+    def test_telemetry_records_frontier_counters(self, small_ebay):
+        from repro.metrics import TelemetrySink
+
+        selector = self.crawl(small_ebay)
+        telemetry = TelemetrySink()
+        telemetry.sample_selector(selector)
+        greedy = selector._greedy.frontier_stats()
+        key = {"policy": "greedy-link+mmmi"}
+        assert telemetry.frontier_rescored.value(**key) == greedy["rescored_total"]
+        assert telemetry.frontier_dirty.value(**key) == greedy["dirty_total"]
+        assert telemetry.frontier_pending.value() == greedy["pending"]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io as stdio
 
+import pytest
+
 from repro.cli import main
 
 
@@ -109,3 +111,67 @@ class TestDurableCrawlCli:
         code, text = run_cli("resume", str(tmp_path / "api-ck"))
         assert code == 2
         assert "no setup recipe" in text
+
+
+def rollup_row(text):
+    """``(queries, pages, new)`` from the Event-bus crawl metrics row."""
+    lines = text.splitlines()
+    start = lines.index("Event-bus crawl metrics")
+    cells = [cell.strip() for cell in lines[start + 3].split("|")]
+    assert cells[0] == "greedy-link", cells
+    return tuple(int(cell.replace(",", "")) for cell in cells[1:4])
+
+
+def result_counts(text):
+    """``(queries, rounds, records)`` from the one-line crawl report."""
+    import re
+
+    match = re.search(
+        r"([\d,]+) records .* in ([\d,]+) rounds, ([\d,]+) queries",
+        report_line(text),
+    )
+    records, rounds, queries = (int(g.replace(",", "")) for g in match.groups())
+    return queries, rounds, records
+
+
+class TestOneCrawlPath:
+    def test_stop_after_steps_needs_a_checkpoint_dir(self):
+        code, text = run_cli(*CRAWL_ARGS, "--stop-after-steps", "5")
+        assert code == 2
+        assert "--stop-after-steps requires --checkpoint-dir" in text
+        assert "seed value" not in text
+
+    def test_durable_crawl_writes_the_sample_profile(self, tmp_path):
+        profile = tmp_path / "crawl.folded"
+        code, text = run_cli(
+            *CRAWL_ARGS,
+            "--checkpoint-dir", str(tmp_path / "ck"),
+            "--sample-profile", str(profile),
+            "--sample-interval", "0.001",
+        )
+        assert code == 0
+        assert profile.exists()
+        assert f"profile samples: {profile}" in text
+
+    @pytest.mark.parametrize("resumes", [1, 2])
+    def test_resumed_rollup_matches_the_result_line(self, tmp_path, resumes):
+        """Roll-up queries/pages/new equal the result's queries/rounds/records.
+
+        The second resume of the same checkpoint replays every step the
+        first one journaled.
+        """
+        checkpoint_dir = tmp_path / "ck"
+        run_cli(
+            *CRAWL_ARGS,
+            "--checkpoint-dir", str(checkpoint_dir),
+            "--stop-after-steps", "10",
+        )
+        for _ in range(resumes):
+            code, resumed = run_cli("resume", str(checkpoint_dir))
+            assert code == 0
+        assert rollup_row(resumed) == result_counts(resumed)
+        code, straight = run_cli(
+            *CRAWL_ARGS, "--checkpoint-dir", str(tmp_path / "straight")
+        )
+        assert rollup_row(straight) == result_counts(straight)
+        assert rollup_row(resumed) == rollup_row(straight)

@@ -209,3 +209,58 @@ class TestJournal:
         assert again.step == 4 and again.rounds == 12
         assert again.outcome.query == entry.outcome.query
         assert again.backoff_rng is None
+
+
+class TestTornMultiByteTail:
+    """orjson writes raw UTF-8, so a crash can tear a line mid-character."""
+
+    @staticmethod
+    def write_accented(path, count=3):
+        """Journal ``count`` entries whose values carry "é", as raw UTF-8."""
+        import json as _json
+
+        lines = []
+        for step in range(1, count + 1):
+            outcome = QueryOutcome(
+                query=Query("café", attribute="make"),
+                pages_fetched=1,
+                records_returned=1,
+                new_records=[Record(step, {"make": ("café",)})],
+                candidate_values=[AttributeValue("model", f"crème {step}")],
+            )
+            line = JournalEntry(
+                step=step, rounds=step, outcome=outcome, server={"rounds": step}
+            ).to_json()
+            lines.append(
+                _json.dumps(_json.loads(line), ensure_ascii=False).encode("utf-8")
+            )
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return lines
+
+    def test_tail_torn_inside_a_character_is_discarded(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        lines = self.write_accented(path)
+        third = lines[2]
+        cut = third.index("é".encode("utf-8")) + 1  # first byte of "é" only
+        path.write_bytes(lines[0] + b"\n" + lines[1] + b"\n" + third[:cut])
+        entries = read_journal(path)
+        assert [e.step for e in entries] == [1, 2]
+        assert entries[1].outcome.query.value == "café"
+
+    def test_undecodable_last_line_with_newline_is_discarded(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        lines = self.write_accented(path)
+        third = lines[2]
+        cut = third.index("é".encode("utf-8")) + 1
+        path.write_bytes(b"\n".join(lines[:2] + [third[:cut]]) + b"\n")
+        assert [e.step for e in read_journal(path)] == [1, 2]
+
+    def test_undecodable_interior_line_raises(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        lines = self.write_accented(path)
+        second = lines[1]
+        cut = second.index("é".encode("utf-8")) + 1
+        lines[1] = second[:cut] + second[cut + 1:]  # drop the second byte
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(SerializationError, match="line 2"):
+            read_journal(path)
