@@ -31,6 +31,7 @@ from types import SimpleNamespace
 from typing import Callable, Dict, Optional, Sequence
 
 from repro import io
+from repro.core.errors import ReproError
 from repro.core.table import sample_seed_values
 from repro.crawler.engine import CrawlerEngine
 from repro.datasets.registry import dataset_info, dataset_names, load_dataset
@@ -733,11 +734,11 @@ def _report_crawl(args, out, sinks, runtime, result, table, server, seeds) -> No
         f"{result.queries_issued:,} queries, stopped by {result.stopped_by}\n"
     )
     log = server.log
-    if log.record_wall_times and log.wall_times:
+    if log.timed_rounds:
         total = log.total_wall_time
-        mean_ms = total / len(log.wall_times) * 1e3
+        mean_ms = total / log.timed_rounds * 1e3
         out.write(
-            f"wire time: {total:.3f}s over {len(log.wall_times):,} rounds "
+            f"wire time: {total:.3f}s over {log.timed_rounds:,} rounds "
             f"(mean {mean_ms:.1f}ms/round)\n"
         )
     if result.aborted_queries:
@@ -831,7 +832,10 @@ def _command_resume(args, out) -> int:
     from pathlib import Path
 
     directory = Path(args.checkpoint_dir)
-    checkpoint = CrawlCheckpoint.load(directory / CHECKPOINT_FILE)
+    try:
+        checkpoint = CrawlCheckpoint.load(directory / CHECKPOINT_FILE)
+    except ReproError as error:
+        return _refuse_resume(out, error)
     if not checkpoint.setup:
         out.write(
             "checkpoint carries no setup recipe (API-made); "
@@ -839,6 +843,12 @@ def _command_resume(args, out) -> int:
         )
         return 2
     return _run_crawl(args, out, checkpoint.setup, checkpoint=checkpoint)
+
+
+def _refuse_resume(out, error: ReproError) -> int:
+    """A damaged or mismatched checkpoint: one line and exit 2."""
+    out.write(f"cannot resume: {error}\n")
+    return 2
 
 
 def _run_crawl(args, out, setup: dict, checkpoint=None) -> int:
@@ -861,10 +871,13 @@ def _run_crawl(args, out, setup: dict, checkpoint=None) -> int:
             durable = {"telemetry": sinks.telemetry, "trace": sinks.tracer}
         seeds = None
         if checkpoint is not None:
-            runtime = RuntimeCrawler.resume(
-                args.checkpoint_dir, server, POLICIES[setup["policy"]](),
-                bus=sinks.bus, **durable,
-            )
+            try:
+                runtime = RuntimeCrawler.resume(
+                    args.checkpoint_dir, server, POLICIES[setup["policy"]](),
+                    bus=sinks.bus, **durable,
+                )
+            except ReproError as error:
+                return _refuse_resume(out, error)
             out.write(
                 f"resumed from step {checkpoint.step} "
                 f"(+{runtime.engine.steps - checkpoint.step} journaled steps "

@@ -528,6 +528,7 @@ class CrawlerEngine:
             "history": [[p.rounds, p.records] for p in self._history.points],
             "records": [encode_record(r) for r in self.local_db],
             "selector": self.selector.state_dict(),
+            "selector_name": self.selector.name,
             "flags": {
                 "use_xml": self.prober.use_xml,
                 "keep_outcomes": self.keep_outcomes,
@@ -554,17 +555,22 @@ class CrawlerEngine:
 
         The engine must have been built with the same server config,
         selector type/config, and flags as the one that produced the
-        snapshot; ``prepare``/``crawl`` must not have been called.
+        snapshot; ``prepare``/``crawl`` must not have been called.  A
+        different selector or different flags raise :class:`CrawlError`
+        (snapshots that predate the recorded selector name skip that
+        check); a missing engine or selector key raises
+        :class:`~repro.runtime.checkpoint.CheckpointError` naming it.
         """
-        from repro.runtime.serialize import (
-            decode_query,
-            decode_record,
-            decode_value,
-            restore_rng,
-        )
+        from repro.runtime.checkpoint import CheckpointError
 
         if self._started:
             raise CrawlError("load_state requires a fresh engine")
+        selector_name = state.get("selector_name", self.selector.name)
+        if selector_name != self.selector.name:
+            raise CrawlError(
+                f"selector mismatch: checkpoint was written by "
+                f"{selector_name!r}, this engine runs {self.selector.name!r}"
+            )
         flags = state.get("flags")
         if flags is not None:
             current = {
@@ -577,6 +583,28 @@ class CrawlerEngine:
                     f"engine config mismatch: checkpoint has {flags}, "
                     f"this engine has {current}"
                 )
+        try:
+            self._load_engine_state(state)
+            selector_state = state["selector"]
+        except KeyError as error:
+            raise CheckpointError(
+                f"checkpoint engine state lacks key {error}"
+            ) from error
+        try:
+            self.selector.load_state(selector_state)
+        except KeyError as error:
+            raise CheckpointError(
+                f"checkpoint selector state lacks key {error}"
+            ) from error
+
+    def _load_engine_state(self, state: dict) -> None:
+        from repro.runtime.serialize import (
+            decode_query,
+            decode_record,
+            decode_value,
+            restore_rng,
+        )
+
         self._started = state["started"]
         self._exhausted = state["exhausted"]
         self._steps = state["steps"]
@@ -609,7 +637,6 @@ class CrawlerEngine:
             # order keeps any fallback assignment deterministic anyway.
             intern_value = self.local_db.intern_value
             self._queried_ids.update(intern_value(v) for v in queried_values)
-        self.selector.load_state(state["selector"])
         if "outcomes" in state and self.keep_outcomes:
             from repro.runtime.journal import decode_outcome
 

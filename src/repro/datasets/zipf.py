@@ -11,7 +11,6 @@ frequency (and hence degree) heavy tail.
 from __future__ import annotations
 
 import bisect
-import itertools
 import random
 from typing import List, Sequence, TypeVar
 
@@ -97,14 +96,3 @@ def pareto_int(rng: random.Random, minimum: int, mean: float) -> int:
     draw = rng.expovariate(1.0 / scale)
     return minimum + int(draw)
 
-
-def interleave_unique(*sequences: Sequence[T]) -> List[T]:
-    """Round-robin merge preserving first occurrence only (utility)."""
-    seen: set[T] = set()
-    merged: List[T] = []
-    for bundle in itertools.zip_longest(*sequences):
-        for item in bundle:
-            if item is not None and item not in seen:
-                seen.add(item)
-                merged.append(item)
-    return merged

@@ -13,7 +13,7 @@ finishes.  This package makes them live:
   subscriber that translates :mod:`repro.runtime.events` into
   telemetry: queries, pages, new-vs-duplicate records, retries and
   charged backoff rounds, rounds saved by abortion, live coverage,
-  rolling harvest rate, cache hit ratio, per-step wall time;
+  rolling harvest rate, cache hits and misses, per-step wall time;
 - :mod:`repro.metrics.exporters` — Prometheus text format, an
   append-only JSONL snapshot stream (plus its schema validator), and
   the end-of-run summary table;

@@ -25,8 +25,8 @@ sequential run would report.
 
 The server's result-ordering cache is not on the bus (cache activity
 is server-side, not wire traffic), so :meth:`TelemetrySink.sample_server`
-pulls those gauges — cache hits/misses/hit ratio and the round counter
-— from a server's communication log; the runtime calls it at
+pulls those gauges — cache hits, cache misses and the round counter —
+from a server's communication log; the runtime calls it at
 checkpoints, heartbeats, and crawl stop.
 """
 
@@ -211,10 +211,6 @@ class TelemetrySink(EventSink):
         self.cache_misses = declare.gauge(
             "crawl_order_cache_misses", "Server result-ordering LRU cache misses"
         )
-        self.cache_hit_ratio = declare.gauge(
-            "crawl_order_cache_hit_ratio",
-            "Server result-ordering LRU hit fraction",
-        )
         self.pages_per_query = declare.histogram(
             "crawl_pages_per_query",
             "Pages paid per completed query",
@@ -378,16 +374,14 @@ class TelemetrySink(EventSink):
         ``server`` is anything exposing a ``log`` with ``cache_hits`` /
         ``cache_misses`` and a ``rounds`` property —
         :class:`~repro.server.webdb.SimulatedWebDatabase` or a wrapper.
+        No hit ratio is stored beside the two counts: readers divide
+        (as ``repro top`` does), so the ratio cannot go stale.
         """
         log = getattr(server, "log", None)
         if log is None:
             return
-        hits = getattr(log, "cache_hits", 0)
-        misses = getattr(log, "cache_misses", 0)
-        self.cache_hits.set(hits)
-        self.cache_misses.set(misses)
-        if hits + misses:
-            self.cache_hit_ratio.set(hits / (hits + misses))
+        self.cache_hits.set(getattr(log, "cache_hits", 0))
+        self.cache_misses.set(getattr(log, "cache_misses", 0))
         self.rounds_gauge.set(server.rounds)
 
     def sample_selector(self, selector, policy: Optional[str] = None) -> None:

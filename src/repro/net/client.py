@@ -55,9 +55,8 @@ Design points:
 - **Telemetry.**  Per-request latency lands in a
   :mod:`repro.metrics` histogram, from the write of a request to the
   read of its answer (for a prefetched page, its consumption); the
-  per-round wall time of each *consumed* page is recorded on the
-  communication log (``record_wall_times``), giving the end-of-run
-  summary per-query latency attribution.
+  wall time of each *consumed* page is totalled on the communication
+  log, which the CLI's ``wire time:`` line prints.
 """
 
 from __future__ import annotations
@@ -245,9 +244,7 @@ class RemoteWebDatabase:
         self.client_id = client_id or f"repro-client-{RemoteWebDatabase._instances}"
         self._trace_context = trace_context
         self._trace_id = getattr(trace_context, "trace_id", None)
-        self.log = CommunicationLog(
-            keep_requests=False, record_wall_times=True
-        )
+        self.log = CommunicationLog()
         self.registry = registry
         if registry is not None:
             self._latency = registry.histogram(
@@ -528,15 +525,9 @@ class RemoteWebDatabase:
         except PaginationError:
             # The in-process lane charges the round before raising (the
             # crawler had to ask to find out); mirror it exactly.
-            self.log.record(
-                query,
-                page_number,
-                0,
-                wall_time=time.perf_counter() - started,
-            )
+            self.log.record(wall_time=time.perf_counter() - started)
             raise
-        wall = time.perf_counter() - started
-        self.log.record(query, page_number, len(page.records), wall_time=wall)
+        self.log.record(wall_time=time.perf_counter() - started)
         if self.pipeline_depth > 0 and page.has_next:
             self._prefetch_ahead(query, page_number, page.num_pages)
         return page

@@ -118,7 +118,6 @@ class SourceRecipe:
     limit_policy: ResultLimitPolicy
     report_total: bool
     interface: QueryInterface
-    keep_request_log: bool
     order_cache_size: int
 
     @classmethod
@@ -132,7 +131,6 @@ class SourceRecipe:
             limit_policy=source.limit_policy,
             report_total=source.report_total,
             interface=source.interface,
-            keep_request_log=source.log.keep_requests,
             order_cache_size=source.order_cache_size,
         )
 
@@ -143,7 +141,6 @@ class SourceRecipe:
             limit_policy=self.limit_policy,
             report_total=self.report_total,
             interface=self.interface,
-            keep_request_log=self.keep_request_log,
             order_cache_size=self.order_cache_size,
         )
 

@@ -528,12 +528,11 @@ class SourceService:
         if entry is not None:
             # Cache hit: the source's submit path is skipped entirely,
             # but the communication round is charged exactly as it
-            # would have been — same query, same page, same record
-            # count (zero for cached out-of-range answers, matching
-            # the PaginationError path).  The lock hold shrinks to
-            # this one log append.
+            # would have been (out-of-range answers included, matching
+            # the PaginationError path).  The lock hold shrinks to this
+            # one counter bump.
             with lock:
-                source.log.record(query, page_number, entry.records)
+                source.log.record()
             if rec is not None:
                 rec.mark(
                     "render", records=entry.records, bytes=len(entry.body)

@@ -8,8 +8,8 @@ durable and observable:
 - :mod:`repro.runtime.events` — a typed event stream (``QueryIssued``,
   ``PageFetched``, ``QueryAborted``/``Rejected``/``Failed``,
   ``RecordsHarvested``, ``RetryAttempted``, ``CheckpointWritten``,
-  ``CrawlStopped``) with pluggable sinks: an in-memory ring buffer, a
-  JSONL journal writer, and a metrics aggregator.
+  ``CrawlStopped``) with pluggable sinks: an in-memory ring buffer and
+  a metrics aggregator.
 - :mod:`repro.runtime.serialize` — JSON codecs for the crawl's value
   types (attribute values, queries, records, RNG streams).
 - :mod:`repro.runtime.journal` — the write-ahead outcome journal: one
@@ -49,7 +49,6 @@ _EXPORTS = {
     "EventBus": "repro.runtime.events",
     "EventSink": "repro.runtime.events",
     "RingBufferSink": "repro.runtime.events",
-    "JsonlEventSink": "repro.runtime.events",
     "MetricsAggregator": "repro.runtime.events",
     "RoundsHistogram": "repro.runtime.events",
     "CrashAfterSteps": "repro.runtime.events",

@@ -2,12 +2,13 @@
 
 The engine, the prober, the retrying transport, the schedulers, and the
 durable runtime all emit small typed events onto an :class:`EventBus`;
-sinks subscribe to consume them.  Three sinks ship with the runtime:
+sinks subscribe to consume them.  Each fact has one record: the
+:class:`~repro.metrics.telemetry.TelemetrySink` registry counts events,
+and per-request detail is kept only in the span trace that
+:class:`repro.trace.TraceSink` writes.  Two sinks ship with the runtime:
 
 - :class:`RingBufferSink` — the last N events in memory, for
   interactive inspection and tests;
-- :class:`JsonlEventSink` — an append-only JSONL writer, the
-  observability log a production deployment would tail;
 - :class:`MetricsAggregator` — per-policy counters plus
   latency-in-rounds histograms, attached only by perfbench's
   crawl-local workload; the roll-up
@@ -22,12 +23,10 @@ sites, so a bus nobody listens to costs one attribute check per event.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional
 
 from repro.core.errors import ReproError
 from repro.core.query import AnyQuery
@@ -37,28 +36,11 @@ from repro.core.query import AnyQuery
 class CrawlEvent:
     """Base event.  ``policy`` and ``source`` are stamped by the emitter."""
 
-    #: Short event-kind tag, stable across versions (used in payloads).
+    #: Short event-kind tag, stable across versions.
     kind = "event"
 
     policy: Optional[str] = field(default=None, kw_only=True)
     source: Optional[str] = field(default=None, kw_only=True)
-
-    def payload(self) -> dict:
-        """JSON-safe dict for the JSONL sink."""
-        body = {"event": self.kind}
-        if self.policy is not None:
-            body["policy"] = self.policy
-        if self.source is not None:
-            body["source"] = self.source
-        body.update(self._body())
-        return body
-
-    def _body(self) -> dict:
-        return {}
-
-
-def _query_label(query: AnyQuery) -> str:
-    return str(query)
 
 
 @dataclass
@@ -67,9 +49,6 @@ class QueryIssued(CrawlEvent):
 
     kind = "query-issued"
     query: AnyQuery = None  # type: ignore[assignment]
-
-    def _body(self) -> dict:
-        return {"query": _query_label(self.query)}
 
 
 @dataclass
@@ -82,14 +61,6 @@ class PageFetched(CrawlEvent):
     records: int = 0
     new_records: int = 0
 
-    def _body(self) -> dict:
-        return {
-            "query": _query_label(self.query),
-            "page": self.page_number,
-            "records": self.records,
-            "new": self.new_records,
-        }
-
 
 @dataclass
 class QueryRejected(CrawlEvent):
@@ -97,9 +68,6 @@ class QueryRejected(CrawlEvent):
 
     kind = "query-rejected"
     query: AnyQuery = None  # type: ignore[assignment]
-
-    def _body(self) -> dict:
-        return {"query": _query_label(self.query)}
 
 
 @dataclass
@@ -115,13 +83,6 @@ class QueryAborted(CrawlEvent):
     pages_fetched: int = 0
     pages_saved: int = 0
 
-    def _body(self) -> dict:
-        return {
-            "query": _query_label(self.query),
-            "pages": self.pages_fetched,
-            "saved": self.pages_saved,
-        }
-
 
 @dataclass
 class QueryFailed(CrawlEvent):
@@ -130,9 +91,6 @@ class QueryFailed(CrawlEvent):
     kind = "query-failed"
     query: AnyQuery = None  # type: ignore[assignment]
     pages_fetched: int = 0
-
-    def _body(self) -> dict:
-        return {"query": _query_label(self.query), "pages": self.pages_fetched}
 
 
 @dataclass
@@ -146,15 +104,6 @@ class RetryAttempted(CrawlEvent):
     backoff_delay: float = 0.0
     backoff_rounds: int = 0
 
-    def _body(self) -> dict:
-        return {
-            "query": _query_label(self.query),
-            "page": self.page_number,
-            "attempt": self.attempt,
-            "delay": self.backoff_delay,
-            "delay_rounds": self.backoff_rounds,
-        }
-
 
 @dataclass
 class RecordsHarvested(CrawlEvent):
@@ -167,16 +116,6 @@ class RecordsHarvested(CrawlEvent):
     pages_fetched: int = 0
     records_total: int = 0
     rounds: int = 0
-
-    def _body(self) -> dict:
-        return {
-            "query": _query_label(self.query),
-            "step": self.step,
-            "new": self.new_records,
-            "pages": self.pages_fetched,
-            "records_total": self.records_total,
-            "rounds": self.rounds,
-        }
 
 
 @dataclass
@@ -193,14 +132,6 @@ class CheckpointWritten(CrawlEvent):
     rounds: int = 0
     path: str = ""
     snapshot: bool = True
-
-    def _body(self) -> dict:
-        return {
-            "step": self.step,
-            "rounds": self.rounds,
-            "path": self.path,
-            "snapshot": self.snapshot,
-        }
 
 
 @dataclass
@@ -219,15 +150,6 @@ class ExperimentTaskCompleted(CrawlEvent):
     rounds: int = 0
     records: int = 0
 
-    def _body(self) -> dict:
-        return {
-            "label": self.label,
-            "seed_index": self.seed_index,
-            "seconds": round(self.seconds, 6),
-            "rounds": self.rounds,
-            "records": self.records,
-        }
-
 
 @dataclass
 class ExperimentSuiteCompleted(CrawlEvent):
@@ -245,14 +167,6 @@ class ExperimentSuiteCompleted(CrawlEvent):
     wall_seconds: float = 0.0
     task_seconds: float = 0.0
 
-    def _body(self) -> dict:
-        return {
-            "tasks": self.tasks,
-            "workers": self.workers,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "task_seconds": round(self.task_seconds, 6),
-        }
-
 
 @dataclass
 class StepStarted(CrawlEvent):
@@ -265,9 +179,6 @@ class StepStarted(CrawlEvent):
 
     kind = "step-started"
     step: int = 0
-
-    def _body(self) -> dict:
-        return {"step": self.step}
 
 
 @dataclass
@@ -290,12 +201,6 @@ class PhaseCompleted(CrawlEvent):
     cpu_seconds: float = 0.0
     detail: dict = field(default_factory=dict)
 
-    def _body(self) -> dict:
-        body = {"step": self.step, "phase": self.phase}
-        if self.detail:
-            body["detail"] = dict(self.detail)
-        return body
-
 
 @dataclass
 class CrawlStopped(CrawlEvent):
@@ -306,14 +211,6 @@ class CrawlStopped(CrawlEvent):
     rounds: int = 0
     queries: int = 0
     records: int = 0
-
-    def _body(self) -> dict:
-        return {
-            "stopped_by": self.stopped_by,
-            "rounds": self.rounds,
-            "queries": self.queries,
-            "records": self.records,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -421,27 +318,6 @@ class RingBufferSink(EventSink):
 
     def __len__(self) -> int:
         return len(self._buffer)
-
-
-class JsonlEventSink(EventSink):
-    """Append every event as one JSON line (the observability journal)."""
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self.events_written = 0
-
-    def handle(self, event: CrawlEvent) -> None:
-        self._handle.write(json.dumps(event.payload(), separators=(",", ":")))
-        self._handle.write("\n")
-        self.events_written += 1
-
-    def flush(self) -> None:
-        self._handle.flush()
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
 
 
 def bucket_labels(bounds) -> List[str]:

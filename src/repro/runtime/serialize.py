@@ -13,7 +13,7 @@ the policies themselves) can use these codecs without import cycles.
 from __future__ import annotations
 
 import random
-from typing import Any, List, Sequence, Tuple, Union
+from typing import Any, List, Sequence, Tuple
 
 from repro.core.errors import ReproError
 from repro.core.query import AnyQuery, ConjunctiveQuery, Query
@@ -63,15 +63,6 @@ def encode_interner(interner) -> List[List[str]]:
     """
     return interner.state_dict()
 
-
-def decode_interner(payload, interner) -> None:
-    """Restore an assignment captured by :func:`encode_interner`."""
-    try:
-        interner.load_state(payload)
-    except (TypeError, ValueError, IndexError) as error:
-        raise SerializationError(
-            f"not an interner payload: {payload!r}"
-        ) from error
 
 
 # ----------------------------------------------------------------------
@@ -140,16 +131,3 @@ def restore_rng(rng: random.Random, payload: Sequence[Any]) -> None:
     version, internal, gauss = payload
     rng.setstate((version, tuple(internal), gauss))
 
-
-# ----------------------------------------------------------------------
-# Optional fields
-# ----------------------------------------------------------------------
-OptionalValue = Union[AttributeValue, None]
-
-
-def encode_optional_value(value: OptionalValue) -> Union[List[str], None]:
-    return None if value is None else encode_value(value)
-
-
-def decode_optional_value(payload) -> OptionalValue:
-    return None if payload is None else decode_value(payload)

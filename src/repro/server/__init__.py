@@ -20,7 +20,7 @@ from repro.server.limits import (
     RateLimiter,
     ResultLimitPolicy,
 )
-from repro.server.network import CommunicationLog, RequestRecord
+from repro.server.network import CommunicationLog
 from repro.server.pagination import ResultPage, page_count, paginate
 from repro.server.service import parse_page, render_page
 from repro.server.webdb import SimulatedWebDatabase
@@ -34,7 +34,6 @@ __all__ = [
     "QueryInterface",
     "RateLimitDecision",
     "RateLimiter",
-    "RequestRecord",
     "ResultLimitPolicy",
     "ResultPage",
     "SimulatedWebDatabase",

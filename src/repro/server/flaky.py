@@ -167,7 +167,7 @@ class FlakyServer:
         if self._rng.random() < self.failure_rate:
             self.failures_injected += 1
             if self.charge_failed_rounds:
-                self.log.record(query, page_number, 0)
+                self.log.record()
             raise TransientServerError(
                 f"request {query} page {page_number} timed out"
             )

@@ -2,41 +2,22 @@
 
 The paper's only cost metric is the number of communication rounds
 (result-page requests) between crawler and server.  The
-:class:`CommunicationLog` counts them, remembers per-query detail, and
-supports the snapshotting the figures need (e.g. Figure 5 samples
-coverage every 1,000 requests).
+:class:`CommunicationLog` counts them and nothing per request: which
+query a page answered, and what it held, travels on the crawl's event
+stream (:class:`~repro.runtime.events.PageFetched`) and its span trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-from repro.core.query import Query
-
-
-@dataclass
-class RequestRecord:
-    """One page request as seen on the wire."""
-
-    round_number: int
-    query: Query
-    page_number: int
-    records_returned: int
-    new_records: Optional[int] = None  # filled in by the crawler, if known
-    #: Wire latency of this request in seconds, when the transport
-    #: measured one (the network lane does; the in-process lane has no
-    #: wire).  Observational only — never part of canonical state.
-    wall_time: Optional[float] = None
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass
 class CommunicationLog:
-    """Counts rounds and queries; optionally fires per-round callbacks.
+    """The round counter of one source, plus two cheap side totals.
 
-    A "round" is one page request, matching Definition 2.3.  ``on_round``
-    callbacks let experiment harnesses take snapshots at exact round
-    counts without threading state through the crawler.
+    A "round" is one page request, matching Definition 2.3.
 
     ``cache_hits`` / ``cache_misses`` count the server's result-ordering
     LRU cache behaviour (see
@@ -45,95 +26,32 @@ class CommunicationLog:
     miss — observable here because the cache exists to keep round
     serving cheap.
 
-    With ``record_wall_times`` enabled (off by default; the network
-    lane turns it on) each recorded round may carry its wire latency in
-    seconds, letting a remote crawl attribute wall time per query.
-    Wall times are observational only: they are excluded from runtime
-    snapshots, so canonical state — and hence resume byte-identity —
-    never depends on them.
+    ``total_wall_time`` / ``timed_rounds`` total the wire latency of
+    the rounds that carried one; only the network lane passes a wall
+    time to :meth:`record`.  Wall times are observational only: they are
+    excluded from runtime snapshots, so canonical state — and hence
+    resume byte-identity — never depends on them.
     """
 
     rounds: int = 0
-    requests: List[RequestRecord] = field(default_factory=list)
-    queries_issued: Dict[Query, int] = field(default_factory=dict)
-    keep_requests: bool = True
     cache_hits: int = 0
     cache_misses: int = 0
-    record_wall_times: bool = False
-    wall_times: List[float] = field(default_factory=list)
-    _callbacks: List[Callable[[int], None]] = field(default_factory=list)
+    total_wall_time: float = 0.0
+    timed_rounds: int = 0
 
-    def record(
-        self,
-        query: Query,
-        page_number: int,
-        records_returned: int,
-        wall_time: Optional[float] = None,
-    ) -> RequestRecord:
-        """Log one page request and advance the round counter.
-
-        ``wall_time`` is the request's wire latency in seconds; it is
-        kept only when ``record_wall_times`` is on.
-        """
+    def record(self, wall_time: Optional[float] = None) -> None:
+        """Count one page request; ``wall_time`` is its wire latency in
+        seconds, when the transport measured one."""
         self.rounds += 1
-        if not self.record_wall_times:
-            wall_time = None
-        entry = RequestRecord(
-            self.rounds, query, page_number, records_returned, wall_time=wall_time
-        )
         if wall_time is not None:
-            self.wall_times.append(wall_time)
-        if self.keep_requests:
-            self.requests.append(entry)
-        self.queries_issued[query] = self.queries_issued.get(query, 0) + 1
-        for callback in self._callbacks:
-            callback(self.rounds)
-        return entry
-
-    @property
-    def total_wall_time(self) -> float:
-        """Total recorded wire time in seconds (0.0 when not recording)."""
-        return sum(self.wall_times)
-
-    def wall_time_for(self, query: Query) -> float:
-        """Wire seconds attributed to ``query`` (needs ``keep_requests``)."""
-        return sum(
-            entry.wall_time
-            for entry in self.requests
-            if entry.query == query and entry.wall_time is not None
-        )
-
-    def on_round(self, callback: Callable[[int], None]) -> None:
-        """Register a callback invoked with the round number after each round."""
-        self._callbacks.append(callback)
+            self.total_wall_time += wall_time
+            self.timed_rounds += 1
 
     def charge(self, rounds: int) -> None:
         """Charge rounds with no page request behind them.
 
         Used for simulated waiting — e.g. exponential-backoff delays
         between retries, which under the paper's cost model are paid in
-        communication rounds.  Each charged round fires the ``on_round``
-        callbacks, so snapshot harnesses see them like any other.
+        communication rounds.
         """
-        for _ in range(rounds):
-            self.rounds += 1
-            for callback in self._callbacks:
-                callback(self.rounds)
-
-    @property
-    def distinct_queries(self) -> int:
-        """Number of distinct queries issued (≠ rounds: multi-page queries)."""
-        return len(self.queries_issued)
-
-    def pages_for(self, query: Query) -> int:
-        """How many page requests were spent on ``query``."""
-        return self.queries_issued.get(query, 0)
-
-    def reset(self) -> None:
-        """Zero all counters (callbacks are kept)."""
-        self.rounds = 0
-        self.requests.clear()
-        self.queries_issued.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.wall_times.clear()
+        self.rounds += rounds

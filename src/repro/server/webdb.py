@@ -65,7 +65,6 @@ class SimulatedWebDatabase:
         limit_policy: Optional[ResultLimitPolicy] = None,
         report_total: bool = True,
         interface: Optional[QueryInterface] = None,
-        keep_request_log: bool = False,
         order_cache_size: int = DEFAULT_ORDER_CACHE_SIZE,
     ) -> None:
         if order_cache_size < 1:
@@ -79,7 +78,7 @@ class SimulatedWebDatabase:
         self.interface = interface or QueryInterface.from_schema(
             table.schema, name=table.name
         )
-        self.log = CommunicationLog(keep_requests=keep_request_log)
+        self.log = CommunicationLog()
         self.order_cache_size = order_cache_size
         # Keyed by interned id (see _order_key), not by the Query itself,
         # so lookups on the pagination hot path cost an int hash instead
@@ -107,7 +106,7 @@ class SimulatedWebDatabase:
         accessible = self.limit_policy.accessible(total)
         num_pages = math.ceil(accessible / self.page_size)
         if page_number < 1 or page_number > max(num_pages, 1):
-            self.log.record(query, page_number, 0)
+            self.log.record()
             raise PaginationError(
                 f"page {page_number} out of range: query {query} has "
                 f"{num_pages} page(s)"
@@ -124,7 +123,7 @@ class SimulatedWebDatabase:
             num_pages=num_pages,
             page_size=self.page_size,
         )
-        self.log.record(query, page_number, len(records))
+        self.log.record()
         return page
 
     def submit_xml(self, query: Query, page_number: int = 1) -> str:
@@ -160,9 +159,7 @@ class SimulatedWebDatabase:
 
         The simulated source itself is a pure function of its table and
         policies (both rebuilt from config on resume); only the round
-        counter is crawl-dependent.  The per-request detail log is not
-        restored — a resumed crawl's ``log.requests`` covers only the
-        post-resume portion.
+        counter is crawl-dependent.
         """
         return {"rounds": self.log.rounds}
 

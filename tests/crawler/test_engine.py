@@ -5,6 +5,7 @@ import pytest
 from repro.core import AttributeValue, CrawlError
 from repro.crawler import CrawlerEngine, normalize_seed, run_crawl
 from repro.policies import BreadthFirstSelector
+from repro.runtime.events import EventBus, PageFetched, RingBufferSink
 from repro.server import QueryInterface, SimulatedWebDatabase
 
 
@@ -43,12 +44,16 @@ class TestCrawlLoop:
         assert result.records_harvested == 1
 
     def test_no_query_issued_twice(self, books):
-        server = SimulatedWebDatabase(books, page_size=2, keep_request_log=True)
-        engine = CrawlerEngine(server, BreadthFirstSelector(), seed=0)
+        server = SimulatedWebDatabase(books, page_size=2)
+        bus = EventBus()
+        pages = bus.attach(RingBufferSink(capacity=10_000))
+        engine = CrawlerEngine(server, BreadthFirstSelector(), seed=0, bus=bus)
         engine.crawl([("publisher", "orbit")])
         issued = [
-            (entry.query, entry.page_number) for entry in server.log.requests
+            (event.query, event.page_number)
+            for event in pages.of_kind(PageFetched.kind)
         ]
+        assert len(issued) == server.rounds
         assert len(issued) == len(set(issued))
 
     def test_history_tracks_progress(self, books):
@@ -116,12 +121,11 @@ class TestKeywordInterface:
             books,
             page_size=3,
             interface=QueryInterface.keyword_only("books"),
-            keep_request_log=True,
         )
         engine = CrawlerEngine(server, BreadthFirstSelector(), seed=0)
         result = engine.crawl(["orbit"])
         assert result.records_harvested >= 4
-        assert all(entry.query.is_keyword for entry in server.log.requests)
+        assert all(query.is_keyword for query in engine.context.lqueried)
 
     def test_same_string_across_attributes_queried_once(self, books):
         # Under a keyword interface, AttributeValues sharing a string
@@ -130,14 +134,14 @@ class TestKeywordInterface:
             books,
             page_size=3,
             interface=QueryInterface.keyword_only("books"),
-            keep_request_log=True,
         )
         engine = CrawlerEngine(server, BreadthFirstSelector(), seed=0)
         engine.crawl(["orbit"])
-        values = [entry.query.value for entry in server.log.requests]
+        issued = engine.context.lqueried
+        values = [query.value for query in issued]
         assert len(set(values)) == len(set(values))  # sanity
         # distinct wire queries == distinct strings issued
-        assert server.log.distinct_queries == len(set(values))
+        assert len(set(issued)) == len(set(values))
 
 
 class TestXmlEngine:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Query
 from repro.metrics import MetricsRegistry, TelemetrySink
+from repro.server import SimulatedWebDatabase
 from repro.runtime.events import (
     CheckpointWritten,
     CrawlStopped,
@@ -166,10 +167,26 @@ class TestSampleServer:
         hits = sink.cache_hits.value()
         misses = sink.cache_misses.value()
         assert hits + misses > 0
-        assert sink.cache_hit_ratio.value() == pytest.approx(
-            hits / (hits + misses)
-        )
         assert sink.rounds_gauge.value() == books_server.rounds
+
+    def test_fresh_server_leaves_no_stale_cache_figure(self, books, books_server):
+        """A resumed crawl samples a fresh server: every cache figure in
+        the registry is that server's, none survives from before."""
+        sink = TelemetrySink()
+        orbit = Query.equality("publisher", "orbit")
+        books_server.submit(orbit)
+        books_server.submit(orbit, 2)
+        sink.sample_server(books_server)
+        sink.sample_server(SimulatedWebDatabase(books, page_size=2))
+        cache = {
+            metric.name: metric.value()
+            for metric in sink.registry
+            if metric.name.startswith("crawl_order_cache")
+        }
+        assert cache == {
+            "crawl_order_cache_hits": 0.0,
+            "crawl_order_cache_misses": 0.0,
+        }
 
     def test_tolerates_logless_server(self):
         sink = TelemetrySink()

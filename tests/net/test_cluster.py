@@ -72,7 +72,6 @@ def keyword_source(table):
         limit_policy=ResultLimitPolicy(limit=20, ordering="ranked", seed=3),
         report_total=False,
         interface=QueryInterface.keyword_only(name="imdb-box"),
-        keep_request_log=True,
         order_cache_size=16,
     )
 
@@ -98,7 +97,6 @@ def settings(source):
         source.limit_policy,
         source.report_total,
         source.interface,
-        source.log.keep_requests,
         source.order_cache_size,
     )
 

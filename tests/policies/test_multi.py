@@ -74,7 +74,7 @@ class TestCrawling:
 
     def test_all_issued_queries_are_conjunctions(self, cars):
         server = SimulatedWebDatabase(
-            cars, page_size=10, interface=car_interface(), keep_request_log=True
+            cars, page_size=10, interface=car_interface()
         )
         selector = GreedyCliqueSelector()
         engine = CrawlerEngine(server, selector, seed=3)
@@ -83,15 +83,13 @@ class TestCrawling:
             record_combinations(first, cars.schema.queriable, 2)
         )
         engine.crawl([], allow_empty_seeds=True, max_queries=30)
-        assert server.log.requests
-        assert all(
-            isinstance(entry.query, ConjunctiveQuery)
-            for entry in server.log.requests
-        )
+        issued = engine.context.lqueried
+        assert issued
+        assert all(isinstance(query, ConjunctiveQuery) for query in issued)
 
     def test_no_conjunction_issued_twice(self, cars):
         server = SimulatedWebDatabase(
-            cars, page_size=10, interface=car_interface(), keep_request_log=True
+            cars, page_size=10, interface=car_interface()
         )
         selector = GreedyCliqueSelector()
         engine = CrawlerEngine(server, selector, seed=3)
@@ -100,7 +98,7 @@ class TestCrawling:
             record_combinations(first, cars.schema.queriable, 2)
         )
         engine.crawl([], allow_empty_seeds=True, max_queries=60)
-        issued = [entry.query for entry in server.log.requests if entry.page_number == 1]
+        issued = engine.context.lqueried
         assert len(issued) == len(set(issued))
 
     def test_greedy_cheaper_than_random(self, cars):

@@ -14,7 +14,6 @@ from repro.runtime.events import (
     CrawlStopped,
     EventBus,
     EventSink,
-    JsonlEventSink,
     MetricsAggregator,
     PageFetched,
     QueryAborted,
@@ -45,20 +44,6 @@ class TestEventPayloads:
             CrawlStopped.kind,
         }
         assert len(kinds) == 9
-
-    def test_payload_carries_kind_and_stamps(self):
-        event = RecordsHarvested(
-            query=Q, step=3, new_records=7, pages_fetched=2,
-            records_total=40, rounds=11, policy="gl", source="ebay",
-        )
-        payload = event.payload()
-        assert payload["event"] == "records-harvested"
-        assert payload["policy"] == "gl"
-        assert payload["source"] == "ebay"
-        assert payload["step"] == 3 and payload["new"] == 7
-
-    def test_unstamped_payload_omits_policy(self):
-        assert "policy" not in QueryIssued(query=Q).payload()
 
 
 class TestEventBus:
@@ -118,20 +103,6 @@ class TestRingBufferSink:
             ring.handle(RecordsHarvested(query=Q, step=step))
         assert ring.dropped == 5
         assert len(ring) == 3  # still full, history truncated
-
-
-class TestJsonlEventSink:
-    def test_writes_one_json_line_per_event(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        sink = JsonlEventSink(path)
-        sink.handle(QueryIssued(query=Q, policy="gl"))
-        sink.handle(CrawlStopped(stopped_by="budget", rounds=9))
-        sink.close()
-        lines = path.read_text().splitlines()
-        assert sink.events_written == 2
-        payloads = [json.loads(line) for line in lines]
-        assert payloads[0]["event"] == "query-issued"
-        assert payloads[1]["stopped_by"] == "budget"
 
 
 class TestRoundsHistogram:

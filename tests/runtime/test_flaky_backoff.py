@@ -69,12 +69,12 @@ class AlwaysFailing:
     """A server whose every submit times out (still charges the round)."""
 
     def __init__(self) -> None:
-        self.log = CommunicationLog(keep_requests=False)
+        self.log = CommunicationLog()
         self.attempts = 0
 
     def submit(self, query, page_number=1):
         self.attempts += 1
-        self.log.record(query, page_number, 0)
+        self.log.record()
         raise TransientServerError("timeout")
 
 
@@ -140,14 +140,6 @@ class TestSubmitWithRetries:
         assert [event.attempt for event in events] == [1, 2, 3]
         assert all(event.kind == "retry-attempted" for event in events)
         assert [event.backoff_delay for event in events] == [1.0, 2.0, 4.0]
-
-    def test_charge_fires_round_callbacks(self):
-        log = CommunicationLog(keep_requests=False)
-        seen = []
-        log.on_round(seen.append)
-        log.charge(3)
-        assert log.rounds == 3
-        assert seen == [1, 2, 3]
 
 
 class TestFlakyRuntimeState:

@@ -6,96 +6,35 @@ from repro.server import CommunicationLog
 
 def test_rounds_increment():
     log = CommunicationLog()
-    query = Query.keyword("x")
-    log.record(query, 1, 10)
-    log.record(query, 2, 4)
+    log.record()
+    log.record()
     assert log.rounds == 2
-    assert log.pages_for(query) == 2
-    assert log.distinct_queries == 1
-
-
-def test_requests_capture_detail():
-    log = CommunicationLog()
-    entry = log.record(Query.keyword("x"), 3, 7)
-    assert entry.round_number == 1
-    assert entry.page_number == 3
-    assert entry.records_returned == 7
-    assert log.requests == [entry]
-
-
-def test_keep_requests_off_saves_memory():
-    log = CommunicationLog(keep_requests=False)
-    log.record(Query.keyword("x"), 1, 1)
-    assert log.rounds == 1
-    assert log.requests == []
-
-
-def test_callbacks_fire_per_round():
-    log = CommunicationLog()
-    seen = []
-    log.on_round(seen.append)
-    log.record(Query.keyword("x"), 1, 0)
-    log.record(Query.keyword("y"), 1, 0)
-    assert seen == [1, 2]
-
-
-def test_reset_clears_counters_keeps_callbacks():
-    log = CommunicationLog()
-    seen = []
-    log.on_round(seen.append)
-    log.record(Query.keyword("x"), 1, 0)
-    log.reset()
-    assert log.rounds == 0
-    assert log.distinct_queries == 0
-    log.record(Query.keyword("x"), 1, 0)
-    assert seen == [1, 1]
 
 
 # ----------------------------------------------------------------------
-# Optional per-round wall-time recording (off by default: the canonical
-# deterministic state must never absorb wall-clock noise).
+# Per-round wall times: kept only when the transport passes one (the
+# network lane does; the in-process lane has no wire), and never part
+# of the canonical deterministic state.
 # ----------------------------------------------------------------------
-def test_wall_times_off_by_default():
-    log = CommunicationLog()
-    entry = log.record(Query.keyword("x"), 1, 2, wall_time=0.25)
-    assert log.wall_times == []
-    assert entry.wall_time is None
-    assert log.total_wall_time == 0.0
+def test_wall_times_off_by_default(books_server):
+    books_server.submit(Query.equality("publisher", "orbit"))
+    assert books_server.log.timed_rounds == 0
+    assert books_server.log.total_wall_time == 0.0
 
 
 def test_wall_times_recorded_when_enabled():
-    log = CommunicationLog(record_wall_times=True)
-    log.record(Query.keyword("x"), 1, 2, wall_time=0.25)
-    log.record(Query.keyword("x"), 2, 2, wall_time=0.5)
-    log.record(Query.keyword("y"), 1, 0)  # no timing supplied
-    assert log.wall_times == [0.25, 0.5]
+    log = CommunicationLog()
+    log.record(wall_time=0.25)
+    log.record(wall_time=0.5)
+    log.record()  # no timing supplied
+    assert log.rounds == 3
+    assert log.timed_rounds == 2
     assert log.total_wall_time == 0.75
-
-
-def test_wall_time_attribution_per_query():
-    log = CommunicationLog(record_wall_times=True)
-    log.record(Query.keyword("x"), 1, 2, wall_time=0.25)
-    log.record(Query.keyword("y"), 1, 2, wall_time=1.0)
-    log.record(Query.keyword("x"), 2, 2, wall_time=0.5)
-    assert log.wall_time_for(Query.keyword("x")) == 0.75
-    assert log.wall_time_for(Query.keyword("y")) == 1.0
-    assert log.wall_time_for(Query.keyword("z")) == 0.0
-
-
-def test_wall_times_cleared_on_reset():
-    log = CommunicationLog(record_wall_times=True)
-    log.record(Query.keyword("x"), 1, 2, wall_time=0.25)
-    log.reset()
-    assert log.wall_times == []
-    assert log.total_wall_time == 0.0
 
 
 def test_wall_times_never_reach_canonical_runtime_state(books_server):
     """webdb runtime snapshots carry rounds only — wall times are
     telemetry, not canonical crawl state."""
-    books_server.log.record_wall_times = True
-    books_server.submit(Query.equality("publisher", "orbit"))
+    books_server.log.record(wall_time=0.25)
     state = books_server.runtime_state()
-    assert "wall_times" not in str(state)
-    restored_rounds = state["rounds"]
-    assert restored_rounds == 1
+    assert state == {"rounds": 1}

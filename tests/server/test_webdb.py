@@ -25,8 +25,6 @@ class TestSubmit:
         server.submit(query, 1)
         server.submit(query, 2)
         assert server.rounds == 2
-        assert server.log.distinct_queries == 1
-        assert server.log.pages_for(query) == 2
 
     def test_zero_match_query_costs_one_round(self, books):
         server = SimulatedWebDatabase(books, page_size=2)
@@ -171,15 +169,6 @@ class TestOrderCache:
             ]
         assert thrashing.log.cache_hits == 0
         assert roomy.log.cache_hits == 2
-
-    def test_reset_clears_counters(self, books):
-        server = SimulatedWebDatabase(books, page_size=2)
-        query = Query.equality("publisher", "orbit")
-        server.submit(query, 1)
-        server.submit(query, 2)
-        server.log.reset()
-        assert server.log.cache_hits == 0
-        assert server.log.cache_misses == 0
 
     def test_invalid_cache_size_rejected(self, books):
         with pytest.raises(ValueError):
